@@ -34,6 +34,7 @@ from .preposet import (
 from .cones import (
     Box,
     CoweightVector,
+    PointSet,
     cone_contains,
     cone_face,
     cone_generators,

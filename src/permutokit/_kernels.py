@@ -2,7 +2,8 @@
 
 Two execution paths for the hot loops. When numba is installed the filter is
 JIT-compiled; the env flag PERMUTOKIT_NUMBA=0 forces the pure-numpy fallback.
-All values in scope are small integers, so int64 arithmetic is exact.
+int64 arithmetic is exact only while every sum stays in range, so each window
+is proved in range by `check_int64_window` before it is enumerated.
 """
 from __future__ import annotations
 
@@ -20,6 +21,21 @@ except ImportError:  # pragma: no cover - depends on environment
 
 _flag = os.environ.get("PERMUTOKIT_NUMBA", "").strip().lower()
 use_numba = numba_installed and _flag not in ("0", "false", "no", "off")
+
+
+INT64_SAFE = 1 << 62
+
+
+def check_int64_window(n: int, coord_max: int, values=()) -> None:
+    """Raise ValueError unless int64 arithmetic on the window is exact.
+
+    n is the number of coordinates, coord_max bounds |x_i| over the window,
+    and values are the right-hand sides and totals compared against sums of
+    coordinates. Below 2^62, no sum of n coordinates and no difference of
+    such a sum and a value can leave int64.
+    """
+    if n * coord_max >= INT64_SAFE or max(map(abs, values), default=0) >= INT64_SAFE:
+        raise ValueError("window exceeds the exact int64 range (2^62)")
 
 
 def _filter_py(cands, A, b):

@@ -5,7 +5,9 @@ emits a versioned envelope; the default table form prints bare values for
 scalar results and key/value lines otherwise.
 
 Exit codes: 0 success (boolean query results are still success), 1 a law
-violation or counterexample was found, 2 malformed input or usage error.
+violation or counterexample was found, 2 malformed input or usage error,
+including numbers too large for exact evaluation and windows too large to
+allocate.
 """
 from __future__ import annotations
 
@@ -142,7 +144,7 @@ def _cone(args, payload):
     if sub == "points":
         (p,) = _need(payload, "p")
         pts = cone_lattice_points(dp(p), Box(args.bound))
-        return 0, {"points": [jsonio.encode_coweight(h) for h in pts]}
+        return 0, {"points": jsonio.encode_point_set(pts)}
     if sub == "contains":
         p, h = _need(payload, "p", "h")
         return 0, {"contains": cone_contains(dp(p), jsonio.decode_coweight(h))}
@@ -180,7 +182,7 @@ def _plate(args, payload):
         P = Plate(jsonio.decode_composition(H), jsonio.decode_bf(z))
     if sub == "points":
         pts = plate_lattice_points(P, Box(args.bound))
-        return 0, {"points": [jsonio.encode_affine_point(h) for h in pts]}
+        return 0, {"points": jsonio.encode_point_set(pts)}
     if sub == "contains":
         (h,) = _need(payload, "h")
         return 0, {"contains": plate_contains(P, jsonio.decode_affine_point(h))}
@@ -414,8 +416,9 @@ def main(argv=None) -> int:
     try:
         payload = _read_payload() if args.group != "check" else {}
         code, result = handler(args, payload)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, OverflowError, MemoryError) as exc:
+        message = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"error: {message}", file=sys.stderr)
         return 2
     if args.format == "json":
         print(jsonio.dumps(jsonio.envelope(result)))

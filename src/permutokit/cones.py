@@ -1,5 +1,6 @@
 """Coroot cones indexed by preposets: membership, windowed lattice points,
-products, and faces.
+products, and faces. Also the `PointSet` carrier that every lattice-point
+window (cone, plate, section) returns.
 
 The cone of a preposet p lives in the zero-sum lattice. Membership is decided
 by the halfspace description: the pairing with every admissible upward split
@@ -10,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from numbers import Integral
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +63,101 @@ class CoweightVector:
         return CoweightVector(
             self.ground, tuple(a + b for a, b in zip(self.coords, other.coords))
         )
+
+
+def _unchecked(kind: type, ground: GroundSet, coords: tuple):
+    """A point of class kind built without running its validation; only for
+    rows a PointSet has already validated."""
+    h = object.__new__(kind)
+    h.__dict__.update(ground=ground, coords=coords)
+    return h
+
+
+@dataclass(frozen=True, eq=False)
+class PointSet:
+    """An ordered set of integer points on one ground set, stored as rows.
+
+    rows is a read-only (N, n) int64 array, one row per point, n = |ground|;
+    kind is the point class (CoweightVector or AffinePoint) that indexing and
+    iteration build from a row. Construction validates all rows at once: the
+    shape, the exact int64 range, and zero sums when kind is CoweightVector.
+    A PointSet compares equal to the tuple of the same points in order.
+    """
+
+    ground: GroundSet
+    rows: np.ndarray
+    kind: type = CoweightVector
+
+    def __post_init__(self):
+        n = len(self.ground)
+        rows = np.asarray(self.rows)
+        if rows.ndim == 1 and rows.size == 0:
+            rows = np.zeros((0, n), dtype=np.int64)
+        try:
+            rows = rows.astype(np.int64, casting="safe")  # a private copy
+        except TypeError:
+            raise ValueError("point coordinates must be an integer array") from None
+        if rows.ndim != 2 or rows.shape[1] != n:
+            raise ValueError("coordinate count does not match the ground set")
+        coord_max = max(int(rows.max()), -int(rows.min())) if rows.size else 0
+        _kernels.check_int64_window(n, coord_max)
+        if self.kind is CoweightVector and rows.sum(axis=1).any():
+            raise ValueError("coordinates must sum to zero")
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+
+    @staticmethod
+    def of(ground: GroundSet, points: Iterable, kind: type) -> "PointSet":
+        """Gather point objects of class kind on ground, in the given order."""
+        points = tuple(points)
+        if any(type(h) is not kind or h.ground != ground for h in points):
+            raise ValueError(f"points must be {kind.__name__}s on the ground set")
+        flat = [c for h in points for c in h.coords]
+        if not all(isinstance(c, Integral) for c in flat):
+            raise ValueError("point coordinates must be integers")
+        try:
+            rows = np.array(flat, dtype=np.int64).reshape(len(points), len(ground))
+        except OverflowError:
+            raise ValueError("window exceeds the exact int64 range (2^62)") from None
+        return PointSet(ground, rows, kind)
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __iter__(self) -> Iterator:
+        kind, ground = self.kind, self.ground
+        for row in self.rows.tolist():
+            yield _unchecked(kind, ground, tuple(row))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PointSet(self.ground, self.rows[i], self.kind)
+        return _unchecked(self.kind, self.ground, tuple(self.rows[i].tolist()))
+
+    def __contains__(self, h) -> bool:
+        if type(h) is not self.kind or h.ground != self.ground:
+            return False
+        if any(c != int(c) or abs(c) >= 1 << 63 for c in h.coords):
+            return False
+        row = np.array([int(c) for c in h.coords], dtype=np.int64)
+        return bool((self.rows == row).all(axis=1).any())
+
+    def __eq__(self, other):
+        if isinstance(other, PointSet):
+            return len(self) == len(other) and (
+                len(self) == 0
+                or (
+                    self.ground == other.ground
+                    and self.kind is other.kind
+                    and np.array_equal(self.rows, other.rows)
+                )
+            )
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -116,20 +213,19 @@ def _constraint_rows(ground: GroundSet, subsets: Sequence[tuple]) -> np.ndarray:
     return A
 
 
-def cone_lattice_points(p: AugPreposet, box: Box) -> tuple[CoweightVector, ...]:
+def cone_lattice_points(p: AugPreposet, box: Box) -> PointSet:
     """Integer zero-sum vectors in the window that lie in the cone of p,
     lexicographically ordered."""
-    if is_bottom(p):
-        return ()
     ground = p.ground
+    if is_bottom(p):
+        return PointSet(ground, [])
+    _kernels.check_int64_window(len(ground), box.bound)
     cands = _kernels.zero_sum_box(len(ground), box.bound)
     ups = [S for S, _ in upward_pairs(p)]
     A = _constraint_rows(ground, ups)
     b = np.zeros(len(ups), dtype=np.int64)
     mask = _kernels.lattice_filter(cands, A, b)
-    return tuple(
-        CoweightVector(ground, tuple(int(v) for v in row)) for row in cands[mask]
-    )
+    return PointSet(ground, cands[mask])
 
 
 def cone_product_map(h1: CoweightVector, h2: CoweightVector) -> CoweightVector:

@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 
 from .boolfun import BooleanFunction
-from .cones import CoweightVector
+from .cones import CoweightVector, PointSet
 from .plates import AffinePoint, Plate
 from .points import PermPoint
 from .preposet import AugPreposet, Bottom, Preposet, is_bottom
@@ -149,6 +149,12 @@ def decode_affine_point(obj) -> AffinePoint:
     return AffinePoint.of(GroundSet.of(coords.keys()), {k: int(v) for k, v in coords.items()})
 
 
+def encode_point_set(pts: PointSet) -> list:
+    """One {"coords": ...} object per point, straight from the int64 rows."""
+    keys = [str(x) for x in pts.ground.labels]
+    return [{"coords": dict(zip(keys, row))} for row in pts.rows.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # subset functions and plates
 
@@ -199,7 +205,7 @@ def decode_plate(obj) -> Plate:
 def encode_section_basis(s: SectionBasis) -> dict:
     return {
         "z": encode_bf(s.z),
-        "points": [encode_affine_point(h) for h in s.points],
+        "points": encode_point_set(s.points),
     }
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _kernels
 from .boolfun import BooleanFunction, bf_comul_along, hei
-from .cones import _constraint_rows, pairing
+from .cones import PointSet, _constraint_rows, pairing
 from .setcomp import Composition, GroundSet, refines, sorted_labels
 
 
@@ -115,21 +115,22 @@ def window_center(P: Plate) -> AffinePoint:
     return AffinePoint.of(P.H.ground, coords)
 
 
-def plate_lattice_points(P: Plate, box) -> tuple[AffinePoint, ...]:
+def plate_lattice_points(P: Plate, box) -> PointSet:
     """Integer plate points h with |h - center| <= bound coordinatewise,
     lexicographically ordered."""
     ground = P.H.ground
     n = len(ground)
     center = window_center(P)
-    c = np.array(center.coords, dtype=np.int64) if n else np.zeros(0, dtype=np.int64)
-    cands = _kernels.zero_sum_box(n, box.bound) + c
     segs = initial_segments(P.H)
+    rhs = [P.z.value(seg) for seg in segs]
+    coord_max = max(map(abs, center.coords), default=0) + box.bound
+    _kernels.check_int64_window(n, coord_max, rhs)
+    c = np.array(center.coords, dtype=np.int64).reshape(n)
+    cands = _kernels.zero_sum_box(n, box.bound) + c
     A = _constraint_rows(ground, segs)
-    b = np.array([P.z.value(seg) for seg in segs], dtype=np.int64)
+    b = np.array(rhs, dtype=np.int64)
     mask = _kernels.lattice_filter(cands, A, b)
-    return tuple(
-        AffinePoint(ground, tuple(int(v) for v in row)) for row in cands[mask]
-    )
+    return PointSet(ground, cands[mask], AffinePoint)
 
 
 def restrict_point(h: AffinePoint, S: Iterable) -> AffinePoint:

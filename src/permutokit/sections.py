@@ -8,6 +8,7 @@ of its base polytope; they carry the same product/face structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -16,7 +17,7 @@ from . import _kernels
 from .boolfun import BooleanFunction, bf_comul, bf_mul, hei
 from .cones import (
     CoweightVector,
-    _constraint_rows,
+    PointSet,
     cone_contains,
     cone_face,
     cone_product_map,
@@ -74,25 +75,44 @@ def co_comul(h: CoweightVector, p: AugPreposet, S: Iterable, T: Iterable) -> Ten
     return TensorWord((cone_restrict(h, S), cone_restrict(h, T)))
 
 
+@lru_cache(maxsize=16)
+def _subset_rows(n: int) -> np.ndarray:
+    """Indicator rows of the nonempty proper subsets of n labels, row m-1
+    for bitmask m, as a read-only int64 array."""
+    masks = np.arange(1, (1 << n) - 1, dtype=np.int64)
+    A = (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1
+    A.setflags(write=False)
+    return A
+
+
 @dataclass(frozen=True)
 class SectionBasis:
-    """The integer points of the base polytope of z, in lexicographic order."""
+    """The integer points of the base polytope of z, in lexicographic order.
+
+    points may be given as any sequence of AffinePoints; it is stored as a
+    PointSet. Every point is checked against z at once: the coordinate sum
+    must be hei(z) and every subset pairing at most z of that subset.
+    """
 
     z: BooleanFunction
-    points: tuple[AffinePoint, ...]
+    points: PointSet
 
     def __post_init__(self):
-        n = len(self.z.ground)
-        full = (1 << n) - 1
-        for h in self.points:
-            if h.ground != self.z.ground:
-                raise ValueError("point ground does not match z")
-            if h.total() != hei(self.z):
-                raise ValueError("point has the wrong coordinate sum")
-            for m in range(1, full):
-                A = self.z.subset_of_mask(m)
-                if pairing(h, A) > self.z.values[m]:
-                    raise ValueError("point violates a subset inequality")
+        z = self.z
+        pts = self.points
+        if not isinstance(pts, PointSet):
+            pts = PointSet.of(z.ground, pts, AffinePoint)
+            object.__setattr__(self, "points", pts)
+        if pts.kind is not AffinePoint or pts.ground != z.ground:
+            raise ValueError("point ground does not match z")
+        # the PointSet proved its rows in range; z must be in range as well
+        _kernels.check_int64_window(0, 0, z.values)
+        rows = pts.rows
+        if (rows.sum(axis=1) != hei(z)).any():
+            raise ValueError("point has the wrong coordinate sum")
+        b = np.array(z.values[1:-1], dtype=np.int64)
+        if (rows @ _subset_rows(len(z.ground)).T > b).any():
+            raise ValueError("point violates a subset inequality")
 
 
 def global_sections(z: BooleanFunction) -> SectionBasis:
@@ -101,37 +121,31 @@ def global_sections(z: BooleanFunction) -> SectionBasis:
     ground = z.ground
     n = len(ground)
     full = (1 << n) - 1
-    lo = np.array(
-        [z.values[full] - z.values[full ^ (1 << i)] for i in range(n)], dtype=np.int64
+    lo = [z.values[full] - z.values[full ^ (1 << i)] for i in range(n)]
+    hi = [z.values[1 << i] for i in range(n)]
+    coord_max = max(map(abs, lo + hi), default=0)
+    _kernels.check_int64_window(n, coord_max, z.values)
+    cands = _kernels.ranged_sum_box(
+        np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64), hei(z)
     )
-    hi = np.array([z.values[1 << i] for i in range(n)], dtype=np.int64)
-    cands = _kernels.ranged_sum_box(lo, hi, hei(z))
-    subsets = [z.subset_of_mask(m) for m in range(1, full)]
-    A = _constraint_rows(ground, subsets)
-    b = np.array([z.values[m] for m in range(1, full)], dtype=np.int64)
+    A = _subset_rows(n)
+    b = np.array(z.values[1:full], dtype=np.int64)
     mask = _kernels.lattice_filter(cands, A, b)
-    pts = tuple(
-        AffinePoint(ground, tuple(int(v) for v in row)) for row in cands[mask]
-    )
-    return SectionBasis(z, pts)
-
-
-def _juxtapose(h1: AffinePoint, h2: AffinePoint) -> AffinePoint:
-    ground = h1.ground.union(h2.ground)  # raises on overlap
-    coords = tuple(
-        h1.coord(x) if x in h1.ground else h2.coord(x) for x in ground.labels
-    )
-    return AffinePoint(ground, coords)
+    return SectionBasis(z, PointSet(ground, cands[mask], AffinePoint))
 
 
 def sections_mul(s1: SectionBasis, s2: SectionBasis) -> SectionBasis:
-    """Basis of the product: all juxtapositions, carried by bf_mul."""
+    """Basis of the product: all juxtapositions, carried by bf_mul, in
+    lexicographic order."""
     z = bf_mul(s1.z, s2.z)
-    pts = sorted(
-        (_juxtapose(h1, h2) for h1 in s1.points for h2 in s2.points),
-        key=lambda h: h.coords,
-    )
-    return SectionBasis(z, tuple(pts))
+    ground = z.ground
+    r1, r2 = s1.points.rows, s2.points.rows
+    rows = np.empty((len(r1) * len(r2), len(ground)), dtype=np.int64)
+    rows[:, [ground.index(x) for x in s1.z.ground.labels]] = np.repeat(r1, len(r2), axis=0)
+    rows[:, [ground.index(x) for x in s2.z.ground.labels]] = np.tile(r2, (len(r1), 1))
+    if len(ground):
+        rows = rows[np.lexsort(rows.T[::-1])]
+    return SectionBasis(z, PointSet(ground, rows, AffinePoint))
 
 
 def sections_comul(s: SectionBasis, h: AffinePoint, S: Iterable, T: Iterable) -> TensorWord:

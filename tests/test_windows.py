@@ -1,0 +1,351 @@
+"""Array-backed lattice-point windows: the PointSet carrier, differential
+checks of cone, plate and section windows against pure-Python box scans,
+validation of section bases, the int64 range proof, and edge ground sets."""
+from fractions import Fraction
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from permutokit import _kernels
+from permutokit.boolfun import BooleanFunction, z_of_point
+from permutokit.cones import Box, CoweightVector, PointSet, cone_lattice_points
+from permutokit.plates import AffinePoint, Plate, plate_contains, plate_lattice_points
+from permutokit.preposet import Bottom, Preposet, enumerate_preposets
+from permutokit.sections import SectionBasis, global_sections, sections_mul
+from permutokit.setcomp import Composition, GroundSet, all_compositions
+
+GROUNDS = {n: GroundSet.of(range(1, n + 1)) for n in range(5)}
+BOUNDS = (0, 1, 2)
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def perm_bf(n):
+    """The permutohedron: z(A) = n + (n-1) + ... over the |A| largest."""
+    return BooleanFunction.from_callable(
+        GROUNDS[n], lambda A: sum(range(n, n - len(A), -1))
+    )
+
+
+def rows_of(pts):
+    return [tuple(r) for r in pts.rows.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# pure-Python oracles: box scans with their own constraint tests
+
+
+def _zero_sum_box(n, bound):
+    if n == 0:
+        return [()]
+    out = []
+    for head in product(range(-bound, bound + 1), repeat=n - 1):
+        last = -sum(head)
+        if abs(last) <= bound:
+            out.append(head + (last,))
+    return out
+
+
+def _masks(n):
+    return range(1, (1 << n) - 1)
+
+
+def _pair(row, m):
+    return sum(v for k, v in enumerate(row) if m >> k & 1)
+
+
+def brute_cone(p, bound):
+    """Zero-sum window points pairing to at most zero with every up-set of p:
+    no label outside the set lies above a label inside it."""
+    labels = p.ground.labels
+    n = len(labels)
+    ups = [
+        m for m in _masks(n)
+        if not any(
+            p.has(labels[t], labels[s])
+            for s in range(n) if m >> s & 1
+            for t in range(n) if not m >> t & 1
+        )
+    ]
+    return [h for h in _zero_sum_box(n, bound) if all(_pair(h, m) <= 0 for m in ups)]
+
+
+def brute_plate(H, table, bound):
+    """Plate window points around the center that splits each lump's height
+    as evenly as possible, earlier labels taking the remainder."""
+    labels = H.ground.labels
+    mask = lambda xs: sum(1 << labels.index(x) for x in xs)
+    center, acc, prev = {}, [], 0
+    for lump in H.lumps:
+        acc += lump
+        cur = table[mask(acc)]
+        q, r = divmod(cur - prev, len(lump))
+        for k, x in enumerate(lump):
+            center[x] = q + 1 if k < r else q
+        prev = cur
+    c = [center[x] for x in labels]
+    segs, acc = [], []
+    for lump in H.lumps[:-1]:
+        acc += lump
+        segs.append(mask(acc))
+    out = []
+    for d in _zero_sum_box(len(labels), bound):
+        h = tuple(a + b for a, b in zip(c, d))
+        if all(_pair(h, m) <= table[m] for m in segs):
+            out.append(h)
+    return out
+
+
+def brute_sections(table, n):
+    full = (1 << n) - 1
+    if n == 0:
+        return [()]
+    tot = table[full]
+    ranges = [range(tot - table[full ^ (1 << k)], table[1 << k] + 1) for k in range(n)]
+    return [
+        h for h in product(*ranges)
+        if sum(h) == tot and all(_pair(h, m) <= table[m] for m in _masks(n))
+    ]
+
+
+@st.composite
+def submodular_tables(draw, n, offset=0):
+    """Coverage functions of a few weighted blocks plus a modular shift."""
+    blocks = draw(st.lists(
+        st.tuples(st.integers(1, (1 << n) - 1), st.integers(0, 3)), max_size=4
+    )) if n else []
+    shift = draw(st.lists(st.integers(-2 - offset, 2 + offset), min_size=n, max_size=n))
+    return [
+        sum(w for blk, w in blocks if m & blk) + _pair(shift, m) for m in range(1 << n)
+    ]
+
+
+# ---------------------------------------------------------------------------
+
+
+class TestPointSet:
+    def setup_method(self):
+        self.g = GroundSet.of([1, 2])
+        self.rows = np.array([[-1, 1], [0, 0], [1, -1]], dtype=np.int64)
+        self.ps = PointSet(self.g, self.rows)
+
+    def test_sequence_protocol(self):
+        pts = tuple(CoweightVector(self.g, r) for r in [(-1, 1), (0, 0), (1, -1)])
+        assert len(self.ps) == 3
+        assert self.ps[0] == pts[0] and self.ps[-1] == pts[-1]
+        assert tuple(self.ps) == pts
+        assert self.ps == pts
+        assert self.ps[1:] == pts[1:]
+        assert hash(self.ps) == hash(pts)
+
+    def test_membership_compares_rows(self):
+        assert CoweightVector(self.g, (1, -1)) in self.ps
+        assert CoweightVector(self.g, (2, -2)) not in self.ps
+        assert AffinePoint(self.g, (1, -1)) not in self.ps
+        assert CoweightVector(GroundSet.of([1, 3]), (1, -1)) not in self.ps
+        assert CoweightVector(self.g, (Fraction(1), Fraction(-1))) in self.ps
+        assert CoweightVector(self.g, (Fraction(1, 2), Fraction(-1, 2))) not in self.ps
+
+    def test_rows_are_a_read_only_copy(self):
+        self.rows[0, 0] = 5
+        assert self.ps[0].coords == (-1, 1)
+        with pytest.raises(ValueError):
+            self.ps.rows[0, 0] = 5
+
+    def test_empty_compares_like_the_empty_tuple(self):
+        empty = PointSet(self.g, np.zeros((0, 2), dtype=np.int64))
+        assert empty == () and not empty
+        assert empty == PointSet(GroundSet.of([]), [])
+
+    def test_construction_validates_rows(self):
+        with pytest.raises(ValueError):
+            PointSet(self.g, [[1, 1]])  # not zero-sum
+        with pytest.raises(ValueError):
+            PointSet(self.g, [[1, -1, 0]])  # wrong width
+        with pytest.raises(ValueError):
+            PointSet(self.g, np.array([[0.5, -0.5]]))
+        with pytest.raises(ValueError):
+            PointSet(self.g, [[2**62, -(2**62)]])
+        assert len(PointSet(self.g, [[1, 1]], AffinePoint)) == 1
+
+    def test_of_gathers_point_objects(self):
+        pts = (AffinePoint(self.g, (3, 4)), AffinePoint(self.g, (0, -1)))
+        assert PointSet.of(self.g, pts, AffinePoint) == pts
+        with pytest.raises(ValueError):
+            PointSet.of(self.g, pts, CoweightVector)
+        with pytest.raises(ValueError):
+            PointSet.of(self.g, (AffinePoint(self.g, (Fraction(1, 2), 0)),), AffinePoint)
+        with pytest.raises(ValueError):
+            PointSet.of(self.g, (AffinePoint(self.g, (2**63, 0)),), AffinePoint)
+
+
+class TestDifferential:
+    def test_cone_windows_match_box_scan(self):
+        for n in range(5):
+            for p in enumerate_preposets(GROUNDS[n]):
+                for bound in BOUNDS:
+                    assert rows_of(cone_lattice_points(p, Box(bound))) == brute_cone(p, bound)
+
+    def test_plate_windows_match_box_scan(self):
+        for n in range(5):
+            z = perm_bf(n)
+            for H in all_compositions(GROUNDS[n]):
+                for bound in BOUNDS:
+                    got = rows_of(plate_lattice_points(Plate(H, z), Box(bound)))
+                    assert got == brute_plate(H, z.values, bound)
+
+    @SETTINGS
+    @given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+        st.just(n), submodular_tables(n), st.sampled_from(list(all_compositions(GROUNDS[n]))),
+        st.sampled_from(BOUNDS))))
+    def test_submodular_plates_and_sections(self, case):
+        n, table, H, bound = case
+        z = BooleanFunction(GROUNDS[n], tuple(table))
+        assert rows_of(plate_lattice_points(Plate(H, z), Box(bound))) == brute_plate(
+            H, table, bound
+        )
+        assert rows_of(global_sections(z).points) == brute_sections(table, n)
+
+    @SETTINGS
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), submodular_tables(n, offset=2**58))))
+    def test_large_shifts_stay_exact(self, case):
+        n, table = case
+        z = BooleanFunction(GROUNDS[n], tuple(table))
+        assert rows_of(global_sections(z).points) == brute_sections(table, n)
+        H = Composition.of([[x] for x in GROUNDS[n].labels])
+        P = Plate(H, z)
+        pts = plate_lattice_points(P, Box(1))
+        assert rows_of(pts) == brute_plate(H, table, 1)
+        assert all(plate_contains(P, h) for h in pts)
+
+    @SETTINGS
+    @given(st.tuples(submodular_tables(2), submodular_tables(2)))
+    def test_products_match_box_scan(self, tables):
+        t1, t2 = tables
+        s1 = global_sections(BooleanFunction(GroundSet.of([1, 3]), tuple(t1)))
+        s2 = global_sections(BooleanFunction(GroundSet.of([2, 4]), tuple(t2)))
+        prod = sections_mul(s1, s2)
+        assert rows_of(prod.points) == brute_sections(prod.z.values, 4)
+
+    def test_oracle_catches_a_dropped_constraint(self, monkeypatch):
+        real = _kernels.lattice_filter
+        monkeypatch.setattr(
+            _kernels, "lattice_filter", lambda cands, A, b: real(cands, A[:-1], b[:-1])
+        )
+        assert any(
+            rows_of(cone_lattice_points(p, Box(1))) != brute_cone(p, 1)
+            for p in enumerate_preposets(GROUNDS[3])
+        )
+
+    def test_basis_validation_catches_a_filter_that_keeps_everything(self, monkeypatch):
+        monkeypatch.setattr(
+            _kernels, "lattice_filter", lambda cands, A, b: np.ones(len(cands), dtype=bool)
+        )
+        with pytest.raises(ValueError, match="subset inequality"):
+            global_sections(perm_bf(4))
+
+
+class TestSectionBasisValidation:
+    def setup_method(self):
+        self.z = perm_bf(3)
+        self.rows = global_sections(self.z).points.rows.copy()
+        self.g = self.z.ground
+
+    def test_kernel_rows_pass(self):
+        SectionBasis(self.z, PointSet(self.g, self.rows, AffinePoint))
+
+    def test_perturbed_row_rejected(self):
+        k = rows_of(global_sections(self.z).points).index((3, 2, 1))
+        self.rows[k] += (1, -1, 0)
+        with pytest.raises(ValueError, match="subset inequality"):
+            SectionBasis(self.z, PointSet(self.g, self.rows, AffinePoint))
+
+    def test_wrong_sum_rejected(self):
+        self.rows[0, 0] += 1
+        with pytest.raises(ValueError, match="coordinate sum"):
+            SectionBasis(self.z, PointSet(self.g, self.rows, AffinePoint))
+
+    def test_non_integer_coordinates_rejected(self):
+        h = AffinePoint(self.g, (Fraction(5, 2), Fraction(3, 2), 2))
+        with pytest.raises(ValueError, match="integers"):
+            SectionBasis(self.z, (h,))
+
+    def test_foreign_ground_rejected(self):
+        with pytest.raises(ValueError):
+            SectionBasis(self.z, PointSet(GroundSet.of([1, 2]), [], AffinePoint))
+        with pytest.raises(ValueError):
+            SectionBasis(self.z, PointSet(self.g, self.rows))
+
+
+class TestInt64Range:
+    B = 2**62
+
+    def test_wraparound_plate_fails_closed(self):
+        # in int64 the filter kept (B, B, -B-1), which the exact test rejects
+        z = z_of_point(GROUNDS[3], (self.B, self.B - 1, -self.B))
+        P = Plate(Composition.of([[1], [2], [3]]), z)
+        with pytest.raises(ValueError, match="int64"):
+            plate_lattice_points(P, Box(1))
+
+    def test_values_beyond_int64_fail_closed(self):
+        z = z_of_point(GROUNDS[3], (2**63, 0, -(2**63)))
+        with pytest.raises(ValueError, match="int64"):
+            plate_lattice_points(Plate(Composition.of([[1], [2], [3]]), z), Box(1))
+        with pytest.raises(ValueError, match="int64"):
+            global_sections(z)
+        with pytest.raises(ValueError, match="int64"):
+            cone_lattice_points(Preposet.antichain(GROUNDS[3]), Box(2**61))
+
+    def test_just_below_the_limit_is_exact(self):
+        w = (1 << 59) - 1
+        z = z_of_point(GROUNDS[3], (w, w - 1, -w))
+        P = Plate(Composition.of([[1], [2], [3]]), z)
+        pts = plate_lattice_points(P, Box(1))
+        assert rows_of(pts) == brute_plate(P.H, z.values, 1)
+        assert all(plate_contains(P, h) for h in pts)
+        assert rows_of(global_sections(z).points) == [(w, w - 1, -w)]
+
+    def test_helper_bounds(self):
+        _kernels.check_int64_window(4, (1 << 60) - 1, [-(1 << 62) + 1])
+        with pytest.raises(ValueError):
+            _kernels.check_int64_window(4, 1 << 60)
+        with pytest.raises(ValueError):
+            _kernels.check_int64_window(0, 0, [1 << 62])
+
+
+class TestEdgeGrounds:
+    def test_cone_windows(self):
+        for n, coords in ((0, ()), (1, (0,))):
+            g = GROUNDS[n]
+            for bound in (0, 2):
+                pts = cone_lattice_points(Preposet.antichain(g), Box(bound))
+                assert pts == (CoweightVector(g, coords),)
+                assert cone_lattice_points(Bottom(g), Box(bound)) == ()
+
+    def test_plate_windows(self):
+        g0, g1 = GROUNDS[0], GROUNDS[1]
+        P0 = Plate(Composition.one_lump(g0), BooleanFunction(g0, (0,)))
+        assert plate_lattice_points(P0, Box(1)) == (AffinePoint(g0, ()),)
+        for v in (3, -2):
+            P1 = Plate(Composition.one_lump(g1), BooleanFunction(g1, (0, v)))
+            assert plate_lattice_points(P1, Box(1)) == (AffinePoint(g1, (v,)),)
+
+    def test_global_sections(self):
+        g0, g1 = GROUNDS[0], GROUNDS[1]
+        assert global_sections(BooleanFunction(g0, (0,))).points == (AffinePoint(g0, ()),)
+        for v in (3, -2):
+            s = global_sections(BooleanFunction(g1, (0, v)))
+            assert s.points == (AffinePoint(g1, (v,)),)
+
+    def test_sections_mul_with_empty_ground_factor(self):
+        e = global_sections(BooleanFunction(GROUNDS[0], (0,)))
+        s = global_sections(BooleanFunction(GROUNDS[2], (0, 1, 1, 1)))
+        want = (AffinePoint(GROUNDS[2], (0, 1)), AffinePoint(GROUNDS[2], (1, 0)))
+        assert sections_mul(e, s).points == want
+        assert sections_mul(s, e).points == want
+        assert sections_mul(e, e).points == (AffinePoint(GROUNDS[0], ()),)
+        infeasible = global_sections(BooleanFunction(GROUNDS[2], (0, 0, 0, 1)))
+        assert sections_mul(e, infeasible).points == ()
