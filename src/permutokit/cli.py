@@ -12,6 +12,7 @@ allocate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -47,9 +48,15 @@ from .setcomp import (
 )
 
 
+def _count(value: int, flag: str) -> int:
+    if value < 0:
+        raise ValueError(f"{flag} must be nonnegative, got {value}")
+    return value
+
+
 def _ground_from(args, payload) -> GroundSet:
     if getattr(args, "size", None) is not None:
-        return GroundSet.of(range(1, args.size + 1))
+        return GroundSet.of(range(1, _count(args.size, "--size") + 1))
     if "ground" in payload:
         return jsonio.decode_ground(payload["ground"])
     raise ValueError("pass --size n or a 'ground' array on stdin")
@@ -60,6 +67,11 @@ def _need(payload: dict, *keys):
         if k not in payload:
             raise ValueError(f"stdin payload is missing {k!r}")
     return [payload[k] for k in keys]
+
+
+def _need_labels(payload: dict, *keys) -> list:
+    """The label arrays (S, T) of restrictions and coproducts, decoded."""
+    return [jsonio.decode_labels(v, k) for k, v in zip(keys, _need(payload, *keys))]
 
 
 def _not_bottom(p):
@@ -82,7 +94,7 @@ def _comp(args, payload):
         F, G = _need(payload, "F", "G")
         return 0, {"composition": jsonio.encode_composition(concatenate(dc(F), dc(G)))}
     if sub == "restrict":
-        F, S = _need(payload, "F", "S")
+        (F,), (S,) = _need(payload, "F"), _need_labels(payload, "S")
         return 0, {"composition": jsonio.encode_composition(restrict(dc(F), S))}
     if sub == "refines":
         G, F = _need(payload, "G", "F")
@@ -116,7 +128,7 @@ def _preposet(args, payload):
         p, q = _need(payload, "p", "q")
         return 0, {"preposet": jsonio.encode_preposet(o_mul(dp(p), dp(q)))}
     if sub == "comul":
-        p, S, T = _need(payload, "p", "S", "T")
+        (p,), (S, T) = _need(payload, "p"), _need_labels(payload, "S", "T")
         pS, pT = o_comul(dp(p), S, T)
         return 0, {"parts": [jsonio.encode_preposet(pS), jsonio.encode_preposet(pT)]}
     if sub == "total-of":
@@ -149,7 +161,7 @@ def _cone(args, payload):
         p, h = _need(payload, "p", "h")
         return 0, {"contains": cone_contains(dp(p), jsonio.decode_coweight(h))}
     if sub == "face":
-        p, S, T = _need(payload, "p", "S", "T")
+        (p,), (S, T) = _need(payload, "p"), _need_labels(payload, "S", "T")
         return 0, {"preposet": jsonio.encode_preposet(cone_face(dp(p), S, T))}
     raise AssertionError(sub)
 
@@ -161,7 +173,7 @@ def _bf(args, payload):
         z1, z2 = _need(payload, "z1", "z2")
         return 0, {"bf": jsonio.encode_bf(bf_mul(dz(z1), dz(z2)))}
     if sub == "comul":
-        z, S, T = _need(payload, "z", "S", "T")
+        (z,), (S, T) = _need(payload, "z"), _need_labels(payload, "S", "T")
         zS, zT = bf_comul(dz(z), S, T)
         return 0, {"parts": [jsonio.encode_bf(zS), jsonio.encode_bf(zT)]}
     if sub == "equiv":
@@ -211,7 +223,7 @@ def _sections(args, payload):
         out = sections_mul(global_sections(dz(z1)), global_sections(dz(z2)))
         return 0, jsonio.encode_section_basis(out)
     if sub == "comul":
-        z, h, S, T = _need(payload, "z", "h", "S", "T")
+        (z, h), (S, T) = _need(payload, "z", "h"), _need_labels(payload, "S", "T")
         word = sections_comul(global_sections(dz(z)), jsonio.decode_affine_point(h), S, T)
         return 0, jsonio.encode_tensor_word(word, jsonio.encode_affine_point)
     raise AssertionError(sub)
@@ -224,7 +236,7 @@ def _point(args, payload):
         x1, x2 = _need(payload, "x1", "x2")
         return 0, {"point": jsonio.encode_point(point_mul(dx(x1), dx(x2)))}
     if sub == "comul":
-        x, S, T = _need(payload, "x", "S", "T")
+        (x,), (S, T) = _need(payload, "x"), _need_labels(payload, "S", "T")
         xS, xT = point_comul(dx(x), S, T)
         return 0, {"parts": [jsonio.encode_point(xS), jsonio.encode_point(xT)]}
     if sub == "eval":
@@ -267,11 +279,10 @@ def _opens(args, payload):
 def _check(args, payload):
     if args.instance not in INSTANCES:
         raise ValueError(f"unknown instance {args.instance!r}")
+    ground = GroundSet.of(range(1, _count(args.size, "--size") + 1))
+    budget = _count(args.budget, "--budget")
     inst = INSTANCES[args.instance]()
-    ground = GroundSet.of(range(1, args.size + 1))
-    reports = check_all(
-        inst, ground, seed=args.seed, budget=args.budget, exhaustive=args.exhaustive
-    )
+    reports = check_all(inst, ground, seed=args.seed, budget=budget, exhaustive=args.exhaustive)
     result = {
         "reports": [
             {
@@ -299,7 +310,11 @@ _GROUPS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by every later
+    main() call in the process: parse_args returns a fresh Namespace and
+    leaves the parser unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "table"), default="table",
@@ -410,8 +425,7 @@ def _read_payload() -> dict:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handler = _GROUPS[args.group]
     try:
         payload = _read_payload() if args.group != "check" else {}

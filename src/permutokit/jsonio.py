@@ -8,10 +8,14 @@ Conventions:
     (a string label that itself looks like an int is therefore not
     round-trippable and is out of scope)
   - exact rationals travel as strings "p/q" (or "p" when integral)
+  - labels are JSON integers or strings; integer-valued fields (coordinates,
+    subset-function values, permutation images) accept JSON integers only,
+    so 1.5, "7" and true are rejected rather than truncated or coerced
 """
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .boolfun import BooleanFunction
@@ -46,6 +50,45 @@ def parse_label(key: str):
         return key
 
 
+def _shown(v) -> str:
+    if isinstance(v, list):
+        return "an array"
+    if isinstance(v, dict):
+        return "an object"
+    return json.dumps(v)
+
+
+def decode_int(v, what: str) -> int:
+    """A JSON integer, exactly. A non-finite float (JSON 1e400) fails
+    inside int() itself, whose OverflowError names the infinity."""
+    if type(v) is int:
+        return v
+    if isinstance(v, float) and not math.isfinite(v):
+        return int(v)
+    raise ValueError(f"{what} must be a JSON integer, got {_shown(v)}")
+
+
+def decode_label(x):
+    if type(x) is int or type(x) is str:
+        return x
+    raise ValueError(f"a label must be a JSON integer or string, got {_shown(x)}")
+
+
+def decode_labels(obj, what: str = "a label set") -> list:
+    """An array of labels: ground sets, lumps and the S/T arguments of
+    every coproduct and restriction."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be an array of labels")
+    return [decode_label(x) for x in obj]
+
+
+def decode_rational(v) -> Fraction:
+    try:
+        return Fraction(str(v))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {_shown(v)}") from None
+
+
 # ---------------------------------------------------------------------------
 # ground sets, compositions, bijections, permutations
 
@@ -55,9 +98,7 @@ def encode_ground(g: GroundSet) -> list:
 
 
 def decode_ground(obj) -> GroundSet:
-    if not isinstance(obj, list):
-        raise ValueError("a ground set must be an array of labels")
-    return GroundSet.of(obj)
+    return GroundSet.of(decode_labels(obj, "a ground set"))
 
 
 def encode_composition(F: Composition) -> list:
@@ -65,9 +106,9 @@ def encode_composition(F: Composition) -> list:
 
 
 def decode_composition(obj) -> Composition:
-    if not isinstance(obj, list) or not all(isinstance(l, list) for l in obj):
+    if not isinstance(obj, list):
         raise ValueError("a composition must be an array of arrays of labels")
-    return Composition.of(obj)
+    return Composition.of(decode_labels(l, "a lump") for l in obj)
 
 
 def encode_bijection(sigma: Bijection) -> dict:
@@ -77,7 +118,7 @@ def encode_bijection(sigma: Bijection) -> dict:
 def decode_bijection(obj) -> Bijection:
     if not isinstance(obj, dict):
         raise ValueError("a bijection must be an object mapping labels to labels")
-    return Bijection.of({parse_label(k): v for k, v in obj.items()})
+    return Bijection.of({parse_label(k): decode_label(v) for k, v in obj.items()})
 
 
 def encode_perm(beta: Perm) -> list:
@@ -87,7 +128,7 @@ def encode_perm(beta: Perm) -> list:
 def decode_perm(obj) -> Perm:
     if not isinstance(obj, list):
         raise ValueError("a permutation must be an array of images of 1..k")
-    return Perm(tuple(obj))
+    return Perm(tuple(decode_int(v, "a permutation image") for v in obj))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +151,9 @@ def decode_preposet(obj) -> AugPreposet:
     if obj.get("bottom"):
         return Bottom(ground)
     rel = obj.get("rel", [])
-    return Preposet.from_pairs(ground, [tuple(pair) for pair in rel])
+    if not isinstance(rel, list) or not all(isinstance(p, list) and len(p) == 2 for p in rel):
+        raise ValueError("a preposet relation must be an array of label pairs")
+    return Preposet.from_pairs(ground, [tuple(decode_labels(pair)) for pair in rel])
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +178,13 @@ def encode_coweight(h: CoweightVector) -> dict:
     return {"coords": _encode_coords(h.ground, h.coord, as_str=False)}
 
 
+def _decode_int_coords(obj) -> dict:
+    return {k: decode_int(v, f"coordinate {k!r}") for k, v in _decode_coords(obj).items()}
+
+
 def decode_coweight(obj) -> CoweightVector:
-    coords = _decode_coords(obj)
-    return CoweightVector.of(GroundSet.of(coords.keys()), {k: int(v) for k, v in coords.items()})
+    coords = _decode_int_coords(obj)
+    return CoweightVector.of(GroundSet.of(coords.keys()), coords)
 
 
 def encode_affine_point(h: AffinePoint) -> dict:
@@ -145,8 +192,8 @@ def encode_affine_point(h: AffinePoint) -> dict:
 
 
 def decode_affine_point(obj) -> AffinePoint:
-    coords = _decode_coords(obj)
-    return AffinePoint.of(GroundSet.of(coords.keys()), {k: int(v) for k, v in coords.items()})
+    coords = _decode_int_coords(obj)
+    return AffinePoint.of(GroundSet.of(coords.keys()), coords)
 
 
 def encode_point_set(pts: PointSet) -> list:
@@ -181,7 +228,7 @@ def decode_bf(obj) -> BooleanFunction:
         mask = 0
         for x in labels:
             mask |= 1 << ground.index(x)
-        table[mask] = int(v)
+        table[mask] = decode_int(v, f"the value of subset {key!r}")
     missing = [m for m in range(1 << n) if m not in table]
     if missing:
         raise ValueError("subset function is missing values for some subsets")
@@ -210,8 +257,8 @@ def encode_section_basis(s: SectionBasis) -> dict:
 
 
 def decode_section_basis(obj) -> SectionBasis:
-    if not isinstance(obj, dict) or "z" not in obj or "points" not in obj:
-        raise ValueError("a section basis must carry 'z' and 'points'")
+    if not isinstance(obj, dict) or "z" not in obj or not isinstance(obj.get("points"), list):
+        raise ValueError("a section basis must carry 'z' and a 'points' array")
     return SectionBasis(
         decode_bf(obj["z"]),
         tuple(decode_affine_point(p) for p in obj["points"]),
@@ -239,7 +286,9 @@ def decode_point(obj) -> PermPoint:
     if not isinstance(obj, dict) or "orbit" not in obj or "coords" not in obj:
         raise ValueError("a point must carry 'orbit' and 'coords'")
     orbit = decode_composition(obj["orbit"])
-    coords = {parse_label(k): Fraction(str(v)) for k, v in obj["coords"].items()}
+    if not isinstance(obj["coords"], dict):
+        raise ValueError("a point's 'coords' must be an object")
+    coords = {parse_label(k): decode_rational(v) for k, v in obj["coords"].items()}
     return PermPoint.of(orbit, coords)
 
 
@@ -256,8 +305,10 @@ def encode_open(U: ToricOpen) -> dict:
 
 
 def decode_open(obj) -> ToricOpen:
-    if not isinstance(obj, dict) or "shape" not in obj or "orbits" not in obj:
-        raise ValueError("an open union must carry 'shape' and 'orbits'")
+    if not isinstance(obj, dict) or "shape" not in obj or not isinstance(obj.get("orbits"), list):
+        raise ValueError("an open union must carry 'shape' and an 'orbits' array")
+    if not all(isinstance(tup, list) for tup in obj["orbits"]):
+        raise ValueError("each orbit of an open union must be an array of compositions")
     shape = decode_composition(obj["shape"])
     orbits = frozenset(
         tuple(decode_composition(H) for H in tup) for tup in obj["orbits"]

@@ -4,6 +4,8 @@ is reserved for law counterexamples)."""
 import io
 import json
 
+import pytest
+
 import permutokit.cli as cli_mod
 from permutokit.cli import main
 
@@ -81,3 +83,112 @@ def test_sections_mul_with_empty_ground_factor(monkeypatch, capsys):
         {"coords": {"1": 0, "2": 1}},
         {"coords": {"1": 1, "2": 0}},
     ]
+
+
+# Malformed payloads are rejected where the JSON is decoded, so they exit 2
+# with one line instead of escaping the handler as a TypeError,
+# AttributeError or ZeroDivisionError.
+MALFORMED = {
+    "point-mul-zero-denominator": (
+        ["point", "mul"],
+        {
+            "x1": {"orbit": [[1]], "coords": {"1": "1/0"}},
+            "x2": {"orbit": [[2]], "coords": {"2": "1"}},
+        },
+    ),
+    "point-eval-zero-denominator": (
+        ["point", "eval"],
+        {
+            "x": {"orbit": [[1, 2]], "coords": {"1": "1", "2": "1/0"}},
+            "H": [[1, 2]],
+            "h": {"coords": {"1": 0, "2": 0}},
+        },
+    ),
+    "comp-tits-array-label": (["comp", "tits"], {"F": [[1, [2]]], "G": [[1, 2]]}),
+    "comp-tits-object-label": (["comp", "tits"], {"F": [[1, {"a": 1}]], "G": [[1, 2]]}),
+    "comp-restrict-scalar-S": (["comp", "restrict"], {"F": [[1, 2]], "S": 5}),
+    "comp-permute-string-image": (["comp", "permute"], {"F": [[1], [2]], "beta": [1, "a"]}),
+    "comp-relabel-array-image": (["comp", "relabel"], {"sigma": {"1": [2]}, "F": [[1]]}),
+    "comp-enumerate-array-label": (["comp", "enumerate"], {"ground": [1, [2]]}),
+    "point-mul-coords-array": (
+        ["point", "mul"],
+        {"x1": {"orbit": [[1]], "coords": [1]}, "x2": {"orbit": [[2]], "coords": {"2": "1"}}},
+    ),
+    "preposet-upward-scalar-pair": (["preposet", "upward"], {"p": {"ground": [1, 2], "rel": [5]}}),
+    "preposet-upward-scalar-rel": (["preposet", "upward"], {"p": {"ground": [1, 2], "rel": 5}}),
+    "opens-pullback-scalar-orbit": (
+        ["opens", "pullback", "--via", "mu"],
+        {"F": [[1, 2]], "U": {"shape": [[1, 2]], "orbits": [5]}},
+    ),
+    "opens-pullback-scalar-orbits": (
+        ["opens", "pullback", "--via", "mu"],
+        {"F": [[1, 2]], "U": {"shape": [[1, 2]], "orbits": 5}},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, payload", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_payload_exits_two(monkeypatch, capsys, argv, payload):
+    assert_one_line_error(*run_cli(monkeypatch, capsys, argv, payload))
+
+
+# Numbers where integers are required are rejected, not truncated or coerced
+# (1.5 -> 1, "7" -> 7, true -> 1).
+NON_INTEGERS = {
+    "bf-mul-float-value": (
+        ["bf", "mul"],
+        {
+            "z1": {"ground": [1], "values": {"": 0, "1": 1.5}},
+            "z2": {"ground": [2], "values": {"": 0, "2": 1}},
+        },
+    ),
+    "bf-mul-string-value": (
+        ["bf", "mul"],
+        {
+            "z1": {"ground": [1], "values": {"": 0, "1": 1}},
+            "z2": {"ground": [2], "values": {"": 0, "2": "7"}},
+        },
+    ),
+    "sections-count-boolean-value": (
+        ["sections", "count"],
+        {"z": {"ground": [1], "values": {"": 0, "1": True}}},
+    ),
+    "cone-contains-half-coordinates": (
+        ["cone", "contains"],
+        {"p": {"ground": [1, 2], "rel": [[1, 2]]}, "h": {"coords": {"1": 0.5, "2": -0.5}}},
+    ),
+    "cone-contains-negated-half-coordinates": (
+        ["cone", "contains"],
+        {"p": {"ground": [1, 2], "rel": [[1, 2]]}, "h": {"coords": {"1": -0.5, "2": 0.5}}},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, payload", NON_INTEGERS.values(), ids=NON_INTEGERS.keys())
+def test_non_integer_number_exits_two(monkeypatch, capsys, argv, payload):
+    code, out, err = run_cli(monkeypatch, capsys, argv, payload)
+    assert_one_line_error(code, out, err)
+    assert "must be a JSON integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check", "sigma", "--size", "-2"], "--size"),
+        (["check", "sigma", "--budget", "-1"], "--budget"),
+        (["comp", "enumerate", "--size", "-1"], "--size"),
+        (["preposet", "enumerate", "--size", "-1"], "--size"),
+        (["opens", "check-indexing", "--size", "-1"], "--size"),
+    ],
+)
+def test_negative_count_exits_two(monkeypatch, capsys, argv, flag):
+    code, out, err = run_cli(monkeypatch, capsys, argv, {})
+    assert_one_line_error(code, out, err)
+    assert err == f"error: {flag} must be nonnegative, got {argv[-1]}\n"
+
+
+def test_negative_bound_keeps_its_message(monkeypatch, capsys):
+    payload = {"p": {"ground": [1, 2], "rel": []}}
+    code, out, err = run_cli(monkeypatch, capsys, ["cone", "points", "--bound", "-1"], payload)
+    assert_one_line_error(code, out, err)
+    assert err == "error: bound must be nonnegative\n"

@@ -169,6 +169,69 @@ class TestRoundTrips:
             jsonio.decode_open({"shape": [[1]]})
 
 
+class TestStrictDecoding:
+    """Integer fields take JSON integers only; labels are integers or
+    strings. Nothing is truncated or coerced."""
+
+    @pytest.mark.parametrize("v", [1.5, 2.0, "7", True, None, [1]])
+    def test_subset_function_values_must_be_integers(self, v):
+        with pytest.raises(ValueError, match="JSON integer"):
+            jsonio.decode_bf({"ground": [1], "values": {"": 0, "1": v}})
+
+    @pytest.mark.parametrize("decode", [jsonio.decode_coweight, jsonio.decode_affine_point])
+    def test_coordinates_must_be_integers(self, decode):
+        with pytest.raises(ValueError, match="JSON integer"):
+            decode({"coords": {"1": 0.5, "2": -0.5}})
+        with pytest.raises(ValueError, match="JSON integer"):
+            decode({"coords": {"1": "1", "2": -1}})
+
+    def test_non_finite_values_overflow(self):
+        with pytest.raises(OverflowError, match="infinity"):
+            jsonio.decode_bf({"ground": [1], "values": {"": 0, "1": float("inf")}})
+
+    def test_permutation_images_must_be_integers(self):
+        with pytest.raises(ValueError, match="JSON integer"):
+            jsonio.decode_perm([1, "a"])
+        with pytest.raises(ValueError, match="JSON integer"):
+            jsonio.decode_perm([True, 2])
+
+    @pytest.mark.parametrize("bad", [[2], {"a": 1}, 1.5, None, True])
+    def test_labels_are_integers_or_strings(self, bad):
+        with pytest.raises(ValueError, match="label"):
+            jsonio.decode_composition([[1, bad]])
+        with pytest.raises(ValueError, match="label"):
+            jsonio.decode_ground([1, bad])
+        with pytest.raises(ValueError, match="label"):
+            jsonio.decode_bijection({"1": bad})
+        with pytest.raises(ValueError, match="label"):
+            jsonio.decode_preposet({"ground": [1, 2], "rel": [[1, bad]]})
+
+    def test_mixed_int_and_string_labels_still_decode(self):
+        F = jsonio.decode_composition([["a", 1], [2]])
+        assert F == Composition.of([[1, "a"], [2]])
+        assert jsonio.decode_labels(["x", 3], "S") == ["x", 3]
+
+    def test_label_arrays_must_be_arrays(self):
+        with pytest.raises(ValueError, match="S must be an array"):
+            jsonio.decode_labels(5, "S")
+
+    def test_preposet_relation_holds_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            jsonio.decode_preposet({"ground": [1, 2], "rel": [[1, 2, 1]]})
+
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            jsonio.decode_point({"orbit": [[1]], "coords": {"1": "1/0"}})
+
+    def test_open_orbits_are_arrays(self):
+        with pytest.raises(ValueError, match="orbit"):
+            jsonio.decode_open({"shape": [[1]], "orbits": [5]})
+
+    def test_section_basis_points_are_an_array(self):
+        with pytest.raises(ValueError, match="'points' array"):
+            jsonio.decode_section_basis({"z": perm3_json(), "points": 5})
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -402,3 +465,58 @@ class TestCliDeterminism:
         doc = json.loads(out)
         z = jsonio.decode_bf(doc["bf"])
         assert jsonio.decode_bf(json.loads(jsonio.dumps(jsonio.encode_bf(z)))) == z
+
+
+class TestCliParserReuse:
+    """main() builds its argparse tree once per process; a reused parser
+    must give the same bytes as a freshly built one for every request."""
+
+    # each "on" request comes right before its "off" twin, so a flag or
+    # default leaking from one call into the next would change the second
+    SEQUENCE = [
+        (["comp", "tits", "--format", "json"], {"F": [[1, 2], [3]], "G": [[3], [1, 2]]}),
+        (["comp", "tits"], {"F": [[1, 2], [3]], "G": [[3], [1, 2]]}),
+        (
+            ["opens", "pullback", "--via", "delta"],
+            {"F": [[1], [2]], "U": {"shape": [[1], [2]], "orbits": [[[[1]], [[2]]]]}},
+        ),
+        (
+            ["opens", "pullback", "--via", "mu"],
+            {
+                "F": [[1], [2]],
+                "U": {"shape": [[1, 2]], "orbits": [[[[1, 2]]], [[[1], [2]]], [[[2], [1]]]]},
+            },
+        ),
+        (["preposet", "enumerate", "--size", "2", "--augmented"], None),
+        (["preposet", "enumerate", "--size", "2"], None),
+        (["comp"], None),
+        (["comp", "enumerate", "--size", "2"], None),
+    ]
+
+    @staticmethod
+    def run(monkeypatch, capsys, argv, payload):
+        try:
+            return run_cli(monkeypatch, capsys, argv, payload)
+        except SystemExit as exc:
+            out, err = capsys.readouterr()
+            return exc.code, out, err
+
+    def test_parser_is_built_once(self):
+        assert cli_mod._build_parser() is cli_mod._build_parser()
+
+    def test_reused_parser_matches_a_fresh_one(self, monkeypatch, capsys):
+        fresh = []
+        for argv, payload in self.SEQUENCE:
+            cli_mod._build_parser.cache_clear()
+            fresh.append(self.run(monkeypatch, capsys, argv, payload))
+        cli_mod._build_parser.cache_clear()
+        reused = [self.run(monkeypatch, capsys, argv, payload) for argv, payload in self.SEQUENCE]
+        assert cli_mod._build_parser.cache_info().misses == 1
+        assert reused == fresh
+        codes = [code for code, _, _ in reused]
+        assert codes == [0, 0, 0, 0, 0, 0, 2, 0]
+        for on, off in ((0, 1), (2, 3), (4, 5)):
+            assert reused[on][1] != reused[off][1]
+        assert json.loads(reused[0][1])["composition"] == [[1, 2], [3]]
+        assert reused[1][1] == "composition: [[1, 2], [3]]\n"
+        assert reused[6][1] == "" and "usage: permutokit comp" in reused[6][2]
