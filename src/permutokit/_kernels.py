@@ -92,17 +92,7 @@ def zero_sum_box(n: int, bound: int) -> np.ndarray:
     lexicographically ordered, as a read-only (N, n) int64 array."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    if n == 0:
-        out = np.zeros((1, 0), dtype=np.int64)
-    elif n == 1:
-        out = np.zeros((1, 1), dtype=np.int64)
-    else:
-        side = np.arange(-bound, bound + 1, dtype=np.int64)
-        grids = np.meshgrid(*([side] * (n - 1)), indexing="ij")
-        first = np.stack([g.ravel() for g in grids], axis=1)
-        last = -first.sum(axis=1)
-        keep = np.abs(last) <= bound
-        out = np.concatenate([first[keep], last[keep, None]], axis=1)
+    out = ranged_sum_box([-bound] * n, [bound] * n, 0)
     out.setflags(write=False)
     return out
 

@@ -14,7 +14,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .boolfun import BooleanFunction, bf_comul, bf_mul, relabel_bf
@@ -32,7 +31,7 @@ from .setcomp import (
     Composition,
     GroundSet,
     Perm,
-    all_compositions,
+    _comps,
     concatenate,
     hat_beta,
     ordered_decompositions,
@@ -76,11 +75,6 @@ class BimonoidInstance:
     ground_of: Callable
     zero_of: Optional[Callable] = None
     is_zero: Optional[Callable] = None
-
-
-@lru_cache(maxsize=None)
-def _comps(ground: GroundSet) -> tuple[Composition, ...]:
-    return tuple(all_compositions(ground))
 
 
 def lift_mul(inst, F: Composition, G: Composition, elems, rng=None):
@@ -342,6 +336,11 @@ def _report(law: str, cases) -> LawReport:
     return LawReport(law, checked, True)
 
 
+def _describe(names: str, case: tuple) -> str:
+    """The counterexample text: the named leading fields of a case."""
+    return " ".join(f"{k}={v!r}" for k, v in zip(names.split(), case))
+
+
 def check_all(
     inst: BimonoidInstance,
     ground: GroundSet,
@@ -350,197 +349,112 @@ def check_all(
     exhaustive: bool = False,
 ) -> list[LawReport]:
     """Run every law; exhaustive mode iterates all decompositions and all
-    elements for enumerable instances, otherwise cases are sampled."""
+    elements for enumerable instances, otherwise cases are sampled.
+
+    Each law is one row: its name, its predicate, the names of the leading
+    case fields its counterexample shows, and a lazy source of argument
+    tuples. Exhaustive sources are built only in full mode, where
+    `elems_on` asks for the whole population. Every draw comes from one
+    generator, law after law and case after case, and later laws' samples
+    depend on earlier draws (general-square draws its element tuples even
+    in full mode), so the order of rows and of draws within a case is part
+    of the reported result."""
     rng = random.Random(seed)
     full = exhaustive and inst.enumerable
-    big = 10**9
 
-    def elems_on(labels):
-        g = GroundSet.of(labels)
-        return inst.elements(g, rng, big if full else max(1, budget // 8))
+    def elems_on(*blocks):
+        return inst.elements(GroundSet.of(x for b in blocks for x in b), rng, 10**9)
 
-    reports = []
+    def one(*blocks):
+        return _one(inst, tuple(x for b in blocks for x in b), rng)
 
-    def mul_nat_cases():
-        if full:
-            for S, T in two_block_decompositions(ground):
-                for a in elems_on(S):
-                    for b in elems_on(T):
-                        for sig in _all_bijections(ground):
-                            yield (
-                                mul_naturality_holds(inst, sig, a, b),
-                                lambda a=a, b=b, sig=sig: f"sigma={sig!r} a={a!r} b={b!r}",
-                            )
-        else:
-            for _ in range(budget):
-                S, T = _random_blocks(ground, 2, rng)
-                a, b = _one(inst, S, rng), _one(inst, T, rng)
-                sig = _random_bijection(ground, rng)
-                yield (
-                    mul_naturality_holds(inst, sig, a, b),
-                    lambda a=a, b=b, sig=sig: f"sigma={sig!r} a={a!r} b={b!r}",
-                )
+    def blocks(k):
+        return _random_blocks(ground, k, rng)
 
-    reports.append(_report("mul-naturality", mul_nat_cases()))
+    def sampled(draw):
+        return (draw() for _ in range(budget))
 
-    def comul_nat_cases():
-        if full:
-            for x in elems_on(ground.labels):
-                for S, T in two_block_decompositions(ground):
-                    for sig in _all_bijections(ground):
-                        yield (
-                            comul_naturality_holds(inst, sig, x, S, T),
-                            lambda x=x, S=S, sig=sig: f"sigma={sig!r} x={x!r} S={S!r}",
-                        )
-        else:
-            for _ in range(budget):
-                x = _one(inst, ground.labels, rng)
-                S, T = _random_blocks(ground, 2, rng)
-                sig = _random_bijection(ground, rng)
-                yield (
-                    comul_naturality_holds(inst, sig, x, S, T),
-                    lambda x=x, S=S, sig=sig: f"sigma={sig!r} x={x!r} S={S!r}",
-                )
+    def mul_nat():
+        S, T = blocks(2)
+        a, b = one(S), one(T)
+        return _random_bijection(ground, rng), a, b
 
-    reports.append(_report("comul-naturality", comul_nat_cases()))
+    def comul_nat():
+        x = one(ground.labels)
+        S, T = blocks(2)
+        return _random_bijection(ground, rng), x, S, T
 
-    def assoc_cases():
-        if full:
-            for A, B, C in ordered_decompositions(ground, 3):
-                for a in elems_on(A):
-                    for b in elems_on(B):
-                        for c in elems_on(C):
-                            yield (
-                                associativity_holds(inst, a, b, c),
-                                lambda a=a, b=b, c=c: f"a={a!r} b={b!r} c={c!r}",
-                            )
-        else:
-            for _ in range(budget):
-                A, B, C = _random_blocks(ground, 3, rng)
-                a, b, c = _one(inst, A, rng), _one(inst, B, rng), _one(inst, C, rng)
-                yield (
-                    associativity_holds(inst, a, b, c),
-                    lambda a=a, b=b, c=c: f"a={a!r} b={b!r} c={c!r}",
-                )
+    def coassoc():
+        x = one(ground.labels)
+        return (x, *blocks(3))
 
-    reports.append(_report("associativity", assoc_cases()))
+    def square():
+        S, T, U, V = blocks(4)
+        return one(S, T), one(U, V), S, T, U, V
 
-    def coassoc_cases():
-        if full:
-            for x in elems_on(ground.labels):
-                for A, B, C in ordered_decompositions(ground, 3):
-                    yield (
-                        coassociativity_holds(inst, x, A, B, C),
-                        lambda x=x, A=A, B=B: f"x={x!r} A={A!r} B={B!r}",
-                    )
-        else:
-            for _ in range(budget):
-                x = _one(inst, ground.labels, rng)
-                A, B, C = _random_blocks(ground, 3, rng)
-                yield (
-                    coassociativity_holds(inst, x, A, B, C),
-                    lambda x=x, A=A, B=B: f"x={x!r} A={A!r} B={B!r}",
-                )
+    def general_square(F, G):
+        return F, G, _tuple_over(inst, F, rng)
 
-    reports.append(_report("coassociativity", coassoc_cases()))
+    def coarsening():
+        F = _random_composition(ground, rng)
+        return F, _random_coarsening(F, rng)
 
-    def square_cases():
-        if full:
-            for S, T, U, V in ordered_decompositions(ground, 4):
-                for a in elems_on(tuple(S) + tuple(T)):
-                    for b in elems_on(tuple(U) + tuple(V)):
-                        yield (
-                            square_holds(inst, a, b, S, T, U, V),
-                            lambda a=a, b=b, S=S, T=T, U=U: f"a={a!r} b={b!r} S={S!r} T={T!r} U={U!r}",
-                        )
-        else:
-            for _ in range(budget):
-                S, T, U, V = _random_blocks(ground, 4, rng)
-                a = _one(inst, tuple(S) + tuple(T), rng)
-                b = _one(inst, tuple(U) + tuple(V), rng)
-                yield (
-                    square_holds(inst, a, b, S, T, U, V),
-                    lambda a=a, b=b, S=S, T=T, U=U: f"a={a!r} b={b!r} S={S!r} T={T!r} U={U!r}",
-                )
-
-    reports.append(_report("square", square_cases()))
-
-    def general_square_cases():
-        pairs = (
-            ((F, G) for F in _comps(ground) for G in _comps(ground))
-            if full
-            else (
-                (_random_composition(ground, rng), _random_composition(ground, rng))
-                for _ in range(budget)
-            )
-        )
-        for F, G in pairs:
-            elems = _tuple_over(inst, F, rng)
-            yield (
-                general_square_holds(inst, F, G, elems),
-                lambda F=F, G=G, elems=elems: f"F={F!r} G={G!r} elems={elems!r}",
-            )
-
-    reports.append(_report("general-square", general_square_cases()))
-
-    def perm_nat_cases(pred, lift_over_G: bool):
-        for _ in range(budget):
-            F = _random_composition(ground, rng)
-            G = _random_coarsening(F, rng)
+    def perm_nat(lift_over_G: bool):
+        def draw():
+            F, G = coarsening()
             images = list(range(1, G.length() + 1))
             rng.shuffle(images)
-            beta = Perm(tuple(images))
-            elems = _tuple_over(inst, G if lift_over_G else F, rng)
-            yield (
-                pred(inst, F, G, beta, elems),
-                lambda F=F, G=G, beta=beta, elems=elems: f"F={F!r} G={G!r} beta={beta!r} elems={elems!r}",
-            )
+            return F, G, Perm(tuple(images)), _tuple_over(inst, G if lift_over_G else F, rng)
 
-    reports.append(
-        _report("perm-naturality-mul", perm_nat_cases(perm_naturality_mul_holds, False))
-    )
-    reports.append(
-        _report(
-            "perm-naturality-comul", perm_nat_cases(perm_naturality_comul_holds, True)
-        )
-    )
+        return sampled(draw)
 
-    def merge_cases(pred, lift_over_G: bool):
-        for _ in range(budget):
-            F = _random_composition(ground, rng)
-            G = _random_coarsening(F, rng)
-            elems = _tuple_over(inst, G if lift_over_G else F, rng)
-            yield (
-                pred(inst, F, G, elems, rng),
-                lambda F=F, G=G, elems=elems: f"F={F!r} G={G!r} elems={elems!r}",
-            )
+    def merge(lift_over_G: bool):
+        def draw():
+            F, G = coarsening()
+            return F, G, _tuple_over(inst, G if lift_over_G else F, rng), rng
 
-    reports.append(
-        _report(
-            "merge-independence-mul", merge_cases(merge_independence_mul_holds, False)
-        )
-    )
-    reports.append(
-        _report(
-            "merge-independence-comul",
-            merge_cases(merge_independence_comul_holds, True),
-        )
-    )
+        return sampled(draw)
 
+    def zero():
+        S, T = blocks(2)
+        return one(T), S
+
+    rows = [
+        ("mul-naturality", mul_naturality_holds, "sigma a b",
+         ((sig, a, b) for S, T in two_block_decompositions(ground)
+          for a in elems_on(S) for b in elems_on(T)
+          for sig in _all_bijections(ground)) if full else sampled(mul_nat)),
+        ("comul-naturality", comul_naturality_holds, "sigma x S",
+         ((sig, x, S, T) for x in elems_on(ground.labels)
+          for S, T in two_block_decompositions(ground)
+          for sig in _all_bijections(ground)) if full else sampled(comul_nat)),
+        ("associativity", associativity_holds, "a b c",
+         ((a, b, c) for A, B, C in ordered_decompositions(ground, 3)
+          for a in elems_on(A) for b in elems_on(B) for c in elems_on(C))
+         if full else sampled(lambda: tuple(one(X) for X in blocks(3)))),
+        ("coassociativity", coassociativity_holds, "x A B",
+         ((x, A, B, C) for x in elems_on(ground.labels)
+          for A, B, C in ordered_decompositions(ground, 3)) if full else sampled(coassoc)),
+        ("square", square_holds, "a b S T U",
+         ((a, b, S, T, U, V) for S, T, U, V in ordered_decompositions(ground, 4)
+          for a in elems_on(S, T) for b in elems_on(U, V))
+         if full else sampled(square)),
+        ("general-square", general_square_holds, "F G elems",
+         (general_square(F, G) for F in _comps(ground) for G in _comps(ground)) if full
+         else sampled(lambda: general_square(
+             _random_composition(ground, rng), _random_composition(ground, rng)))),
+        ("perm-naturality-mul", perm_naturality_mul_holds, "F G beta elems", perm_nat(False)),
+        ("perm-naturality-comul", perm_naturality_comul_holds, "F G beta elems", perm_nat(True)),
+        ("merge-independence-mul", merge_independence_mul_holds, "F G elems", merge(False)),
+        ("merge-independence-comul", merge_independence_comul_holds, "F G elems", merge(True)),
+    ]
     if inst.pointed:
-
-        def zero_cases():
-            for _ in range(budget):
-                S, T = _random_blocks(ground, 2, rng)
-                y = _one(inst, T, rng)
-                yield (
-                    zero_absorption_holds(inst, y, S),
-                    lambda y=y, S=S: f"y={y!r} S={S!r}",
-                )
-
-        reports.append(_report("zero-absorption", zero_cases()))
-
-    return reports
+        rows.append(("zero-absorption", zero_absorption_holds, "y S", sampled(zero)))
+    return [
+        _report(law, ((pred(inst, *case), lambda case=case: _describe(names, case))
+                      for case in cases))
+        for law, pred, names, cases in rows
+    ]
 
 
 # ---------------------------------------------------------------------------

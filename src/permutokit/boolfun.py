@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .setcomp import Bijection, Composition, GroundSet, sorted_labels
+from .setcomp import Bijection, Composition, GroundSet, _split_blocks
 
 _SIZE_CAP = 12
 
@@ -81,9 +81,7 @@ def bf_comul(
     The S half is plain restriction; the T half is the shifted restriction
     A ↦ z(A ⊔ S) − z(S).
     """
-    S, T = sorted_labels(S), sorted_labels(T)
-    if set(S) & set(T) or set(S) | set(T) != set(z.ground.labels):
-        raise ValueError("S,T do not decompose the ground set")
+    S, T = _split_blocks(z.ground, S, T)
     gS, gT = GroundSet.of(S), GroundSet.of(T)
     maskS = z.mask_of(S)
     posS = [z.ground.index(x) for x in S]

@@ -27,7 +27,7 @@ from .preposet import (
     split_admissible,
     upward_pairs,
 )
-from .setcomp import GroundSet, sorted_labels
+from .setcomp import GroundSet, _split_blocks, sorted_labels
 
 
 @dataclass(frozen=True)
@@ -250,11 +250,9 @@ def cone_face(p: AugPreposet, S: Iterable, T: Iterable) -> AugPreposet:
     on the full ground set; otherwise the cone has no such face and the bottom
     is returned.
     """
-    S, T = sorted_labels(S), sorted_labels(T)
     if is_bottom(p):
         return Bottom(p.ground)
-    if set(S) & set(T) or set(S) | set(T) != set(p.ground.labels):
-        raise ValueError("S,T do not decompose the ground set")
+    S, T = _split_blocks(p.ground, S, T)
     if not split_admissible(p, S, T):
         return Bottom(p.ground)
     if not S or not T:

@@ -82,6 +82,14 @@ def decode_labels(obj, what: str = "a label set") -> list:
     return [decode_label(x) for x in obj]
 
 
+def _require_within(labels, ground: GroundSet, what: str) -> None:
+    for x in labels:
+        if x not in ground:
+            raise ValueError(
+                f"{what} names label {x!r}, which is not in the ground set {list(ground)}"
+            )
+
+
 def decode_rational(v) -> Fraction:
     try:
         return Fraction(str(v))
@@ -153,7 +161,9 @@ def decode_preposet(obj) -> AugPreposet:
     rel = obj.get("rel", [])
     if not isinstance(rel, list) or not all(isinstance(p, list) and len(p) == 2 for p in rel):
         raise ValueError("a preposet relation must be an array of label pairs")
-    return Preposet.from_pairs(ground, [tuple(decode_labels(pair)) for pair in rel])
+    pairs = [tuple(decode_labels(pair)) for pair in rel]
+    _require_within((x for pair in pairs for x in pair), ground, "a relation pair")
+    return Preposet.from_pairs(ground, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +235,7 @@ def decode_bf(obj) -> BooleanFunction:
     table = {}
     for key, v in obj["values"].items():
         labels = tuple(parse_label(part) for part in key.split(",")) if key else ()
+        _require_within(labels, ground, f"subset {key!r}")
         mask = 0
         for x in labels:
             mask |= 1 << ground.index(x)
@@ -289,6 +300,10 @@ def decode_point(obj) -> PermPoint:
     if not isinstance(obj["coords"], dict):
         raise ValueError("a point's 'coords' must be an object")
     coords = {parse_label(k): decode_rational(v) for k, v in obj["coords"].items()}
+    _require_within(coords, orbit.ground, "a coordinate")
+    for x in orbit.ground:
+        if x not in coords:
+            raise ValueError(f"a point's 'coords' has no value for label {x!r}")
     return PermPoint.of(orbit, coords)
 
 

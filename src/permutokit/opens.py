@@ -21,18 +21,13 @@ from .preposet import (
 from .setcomp import (
     Composition,
     GroundSet,
-    all_compositions,
+    _comps,
     concatenate,
     refines,
     restrict,
 )
 
 _SIZE_CAP = 4
-
-
-@lru_cache(maxsize=None)
-def _comps(ground: GroundSet) -> tuple[Composition, ...]:
-    return tuple(all_compositions(ground))
 
 
 @lru_cache(maxsize=None)

@@ -18,11 +18,11 @@ from .setcomp import (
     Bijection,
     Composition,
     GroundSet,
+    _split_blocks,
     concatenate,
     refines,
     relabel,
     restrict,
-    sorted_labels,
 )
 
 
@@ -82,9 +82,7 @@ def point_comul(
 ) -> tuple[PermPoint, PermPoint]:
     """Forget the labels outside each block and renormalize the surviving
     lumps. Emptied lumps are dropped by the orbit restriction."""
-    S, T = sorted_labels(S), sorted_labels(T)
-    if set(S) & set(T) or set(S) | set(T) != set(x.ground.labels):
-        raise ValueError("S,T do not decompose the ground set")
+    S, T = _split_blocks(x.ground, S, T)
     halves = []
     for blk in (S, T):
         orbit = restrict(x.orbit, blk)

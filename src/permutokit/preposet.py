@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
-from .setcomp import Bijection, Composition, GroundSet, sorted_labels
+from .setcomp import Bijection, Composition, GroundSet, _split_blocks, sorted_labels
 
 
 @dataclass(frozen=True)
@@ -143,9 +143,7 @@ def o_comul(
     p: AugPreposet, S: Iterable, T: Iterable
 ) -> tuple[AugPreposet, AugPreposet]:
     """Restrict to both blocks when (S,T) <= p, else a pair of bottoms."""
-    S, T = sorted_labels(S), sorted_labels(T)
-    if set(S) & set(T) or set(S) | set(T) != set(p.ground.labels):
-        raise ValueError("S,T do not decompose the ground set")
+    S, T = _split_blocks(p.ground, S, T)
     gS, gT = GroundSet.of(S), GroundSet.of(T)
     if is_bottom(p) or not split_admissible(p, S, T):
         return Bottom(gS), Bottom(gT)

@@ -26,7 +26,7 @@ from .cones import (
 )
 from .plates import AffinePoint, restrict_point
 from .preposet import AugPreposet, o_mul
-from .setcomp import sorted_labels
+from .setcomp import _split_blocks, sorted_labels
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,7 @@ def sections_comul(s: SectionBasis, h: AffinePoint, S: Iterable, T: Iterable) ->
     face of the polytope, i.e. pairing(h,S) = z(S); zero otherwise."""
     if h not in s.points:
         raise ValueError("point is not a section")
-    S, T = sorted_labels(S), sorted_labels(T)
-    if set(S) & set(T) or set(S) | set(T) != set(s.z.ground.labels):
-        raise ValueError("S,T do not decompose the ground set")
+    S, T = _split_blocks(s.z.ground, S, T)
     if pairing(h, S) != s.z.value(S):
         return TensorWord.zero()
     return TensorWord((restrict_point(h, S), restrict_point(h, T)))

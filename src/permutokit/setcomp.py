@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterable, Iterator
 
 Label = Any
@@ -22,6 +23,14 @@ def label_key(x: Label) -> tuple:
 
 def sorted_labels(labels: Iterable[Label]) -> tuple:
     return tuple(sorted(labels, key=label_key))
+
+
+def _split_blocks(ground: GroundSet, S: Iterable[Label], T: Iterable[Label]) -> tuple:
+    """S and T in canonical order; ValueError unless they decompose the ground."""
+    S, T = sorted_labels(S), sorted_labels(T)
+    if set(S) & set(T) or set(S) | set(T) != set(ground.labels):
+        raise ValueError("S,T do not decompose the ground set")
+    return S, T
 
 
 @dataclass(frozen=True)
@@ -319,6 +328,11 @@ def all_compositions(ground: GroundSet) -> Iterator[Composition]:
     # each composition arises from exactly one (sub, position) choice
     for lumps in rec(labels):
         yield Composition(ground, lumps)
+
+
+@lru_cache(maxsize=None)
+def _comps(ground: GroundSet) -> tuple[Composition, ...]:
+    return tuple(all_compositions(ground))
 
 
 def two_block_decompositions(

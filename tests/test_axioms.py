@@ -2,6 +2,8 @@
 the full law battery on every shipped instance, and mutation sanity checks
 showing that broken operations are actually caught."""
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -238,6 +240,41 @@ class TestMutationSanity:
         reports = {r.law: r for r in check_all(broken, G3, budget=40)}
         bad = reports["general-square"]
         assert not bad.passed and "F=" in bad.counterexample
+
+
+PINNED_REPORTS_SHA256 = (
+    "c43db509d17aaf8be12df59a42840fa360c684b4c788c58cd8364d5c3420544c"
+)
+
+
+def _swapped_comul(inst: BimonoidInstance) -> BimonoidInstance:
+    return _mutated(
+        inst, comul=lambda x, S, T, c=inst.comul: tuple(reversed(c(x, S, T)))
+    )
+
+
+class TestPinnedReports:
+    def test_report_digest_is_frozen(self):
+        """Every LawReport field (law, checked, passed, counterexample text)
+        and the order of laws and cases, pinned across versions:
+
+            runs = [check_all(f(make()), G3, seed=1, budget=20)
+                    for make in INSTANCES.values()
+                    for f in (lambda i: i, _swapped_comul)]
+            runs.append(check_all(sigma_instance(), GroundSet.of([1, 2]),
+                                  exhaustive=True))
+            hashlib.sha256(json.dumps(
+                [[dataclasses.astuple(r) for r in rs] for rs in runs]
+            ).encode()).hexdigest()
+        """
+        runs = [
+            check_all(f(make()), G3, seed=1, budget=20)
+            for make in INSTANCES.values()
+            for f in (lambda i: i, _swapped_comul)
+        ]
+        runs.append(check_all(sigma_instance(), GroundSet.of([1, 2]), exhaustive=True))
+        payload = json.dumps([[dataclasses.astuple(r) for r in rs] for rs in runs])
+        assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_REPORTS_SHA256
 
 
 class TestInstanceRegistry:

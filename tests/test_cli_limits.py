@@ -124,12 +124,56 @@ MALFORMED = {
         ["opens", "pullback", "--via", "mu"],
         {"F": [[1, 2]], "U": {"shape": [[1, 2]], "orbits": 5}},
     ),
+    "point-mul-extra-coordinate": (
+        ["point", "mul"],
+        {
+            "x1": {"orbit": [[1]], "coords": {"1": "1", "3": "2"}},
+            "x2": {"orbit": [[2]], "coords": {"2": "1"}},
+        },
+    ),
+    "point-mul-missing-coordinate": (
+        ["point", "mul"],
+        {
+            "x1": {"orbit": [[1, 3]], "coords": {"1": "1"}},
+            "x2": {"orbit": [[2]], "coords": {"2": "1"}},
+        },
+    ),
+    "preposet-upward-foreign-rel-label": (
+        ["preposet", "upward"],
+        {"p": {"ground": [1, 2], "rel": [[1, 3]]}},
+    ),
+    "preposet-mul-foreign-rel-label": (
+        ["preposet", "mul"],
+        {"p": {"ground": [1], "rel": [[1, 3]]}, "q": {"ground": [2]}},
+    ),
+    "bf-mul-foreign-subset-label": (
+        ["bf", "mul"],
+        {
+            "z1": {"ground": [1], "values": {"": 0, "1": 1, "1,3": 2}},
+            "z2": {"ground": [2], "values": {"": 0, "2": 1}},
+        },
+    ),
 }
 
 
 @pytest.mark.parametrize("argv, payload", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_payload_exits_two(monkeypatch, capsys, argv, payload):
     assert_one_line_error(*run_cli(monkeypatch, capsys, argv, payload))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "point-mul-extra-coordinate",
+        "point-mul-missing-coordinate",
+        "preposet-upward-foreign-rel-label",
+        "preposet-mul-foreign-rel-label",
+        "bf-mul-foreign-subset-label",
+    ],
+)
+def test_label_outside_the_ground_is_named(monkeypatch, capsys, case):
+    _, _, err = run_cli(monkeypatch, capsys, *MALFORMED[case])
+    assert "label 3" in err
 
 
 # Numbers where integers are required are rejected, not truncated or coerced
