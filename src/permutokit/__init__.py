@@ -29,6 +29,7 @@ from .preposet import (
     preposet_leq,
     relabel_preposet,
     total_of_composition,
+    upward_masks,
     upward_pairs,
 )
 from .cones import (

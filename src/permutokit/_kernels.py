@@ -7,6 +7,7 @@ is proved in range by `check_int64_window` before it is enumerated.
 """
 from __future__ import annotations
 
+import math
 import os
 from functools import lru_cache
 
@@ -25,6 +26,10 @@ use_numba = numba_installed and _flag not in ("0", "false", "no", "off")
 
 INT64_SAFE = 1 << 62
 
+# Largest candidate grid ranged_sum_box will allocate, in rows; building the
+# grid takes about 16 * (n - 1) bytes per row.
+ROW_BUDGET = 1 << 24
+
 
 def check_int64_window(n: int, coord_max: int, values=()) -> None:
     """Raise ValueError unless int64 arithmetic on the window is exact.
@@ -36,6 +41,16 @@ def check_int64_window(n: int, coord_max: int, values=()) -> None:
     """
     if n * coord_max >= INT64_SAFE or max(map(abs, values), default=0) >= INT64_SAFE:
         raise ValueError("window exceeds the exact int64 range (2^62)")
+
+
+@lru_cache(maxsize=16)
+def _subset_rows(n: int) -> np.ndarray:
+    """Indicator rows of the nonempty proper subsets of n labels, row m-1
+    for bitmask m, as a read-only int64 array."""
+    masks = np.arange(1, (1 << n) - 1, dtype=np.int64)
+    A = (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1
+    A.setflags(write=False)
+    return A
 
 
 def _filter_py(cands, A, b):
@@ -99,7 +114,10 @@ def zero_sum_box(n: int, bound: int) -> np.ndarray:
 
 def ranged_sum_box(lo, hi, total: int) -> np.ndarray:
     """All integer vectors with lo <= x <= hi coordinatewise and sum == total,
-    lexicographically ordered, as an (N, n) int64 array."""
+    lexicographically ordered, as an (N, n) int64 array.
+
+    Raises ValueError before allocating when the candidate grid (the product
+    of the first n - 1 side lengths) has more than ROW_BUDGET rows."""
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
     n = lo.shape[0]
@@ -111,6 +129,11 @@ def ranged_sum_box(lo, hi, total: int) -> np.ndarray:
         if lo[0] <= total <= hi[0]:
             return np.array([[total]], dtype=np.int64)
         return np.zeros((0, 1), dtype=np.int64)
+    grid_rows = math.prod(int(hi[j]) - int(lo[j]) + 1 for j in range(n - 1))
+    if grid_rows > ROW_BUDGET:
+        raise ValueError(
+            f"window has {grid_rows} candidate rows, above the budget of {ROW_BUDGET}"
+        )
     sides = [np.arange(lo[j], hi[j] + 1, dtype=np.int64) for j in range(n - 1)]
     grids = np.meshgrid(*sides, indexing="ij")
     first = np.stack([g.ravel() for g in grids], axis=1)

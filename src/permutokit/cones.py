@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .preposet import (
     o_mul,
     restrict_preposet,
     split_admissible,
+    upward_masks,
     upward_pairs,
 )
 from .setcomp import GroundSet, _split_blocks, sorted_labels
@@ -205,14 +206,6 @@ def cone_generators(p: Preposet) -> tuple[CoweightVector, ...]:
     return tuple(coroot(b, a, p.ground) for a, b in p.pairs)
 
 
-def _constraint_rows(ground: GroundSet, subsets: Sequence[tuple]) -> np.ndarray:
-    A = np.zeros((len(subsets), len(ground)), dtype=np.int64)
-    for r, S in enumerate(subsets):
-        for x in S:
-            A[r, ground.index(x)] = 1
-    return A
-
-
 def cone_lattice_points(p: AugPreposet, box: Box) -> PointSet:
     """Integer zero-sum vectors in the window that lie in the cone of p,
     lexicographically ordered."""
@@ -221,10 +214,9 @@ def cone_lattice_points(p: AugPreposet, box: Box) -> PointSet:
         return PointSet(ground, [])
     _kernels.check_int64_window(len(ground), box.bound)
     cands = _kernels.zero_sum_box(len(ground), box.bound)
-    ups = [S for S, _ in upward_pairs(p)]
-    A = _constraint_rows(ground, ups)
-    b = np.zeros(len(ups), dtype=np.int64)
-    mask = _kernels.lattice_filter(cands, A, b)
+    ups = np.array(upward_masks(p), dtype=np.intp)
+    A = _kernels._subset_rows(len(ground))[ups - 1]
+    mask = _kernels.lattice_filter(cands, A, np.zeros(len(ups), dtype=np.int64))
     return PointSet(ground, cands[mask])
 
 

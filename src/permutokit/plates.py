@@ -12,8 +12,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from .boolfun import BooleanFunction, bf_comul_along, hei
-from .cones import PointSet, _constraint_rows, pairing
+from .boolfun import BooleanFunction, hei
+from .cones import PointSet, pairing
 from .setcomp import Composition, GroundSet, refines, sorted_labels
 
 
@@ -89,11 +89,32 @@ def plate_contains(P: Plate, h: AffinePoint) -> bool:
     return all(pairing(h, seg) <= P.z.value(seg) for seg in initial_segments(P.H))
 
 
+def _prefix_masks(F: Composition) -> list[int]:
+    """Bitmasks of the initial segments of F, one per lump; the last is the
+    whole ground set."""
+    index = F.ground.index
+    out, m = [], 0
+    for lump in F.lumps:
+        for x in lump:
+            m |= 1 << index(x)
+        out.append(m)
+    return out
+
+
+def _lump_heights(z: BooleanFunction, F: Composition) -> tuple[int, ...]:
+    """The consecutive differences of z along the initial segments of F: the
+    totals of the iterated coproduct of z along F, lump by lump."""
+    out, prev = [], 0
+    for m in _prefix_masks(F):
+        out.append(z.values[m] - z.values[prev])
+        prev = m
+    return tuple(out)
+
+
 def max_affine_flat(P: Plate) -> FlatSpec:
     """The flat obtained by forcing every initial-segment inequality to an
     equality: per-lump heights are the consecutive differences of z along H."""
-    comps = bf_comul_along(P.z, P.H)
-    return FlatSpec(P.H, tuple(hei(c) for c in comps))
+    return FlatSpec(P.H, _lump_heights(P.z, P.H))
 
 
 def flat_contains(spec: FlatSpec, h: AffinePoint) -> bool:
@@ -121,15 +142,14 @@ def plate_lattice_points(P: Plate, box) -> PointSet:
     ground = P.H.ground
     n = len(ground)
     center = window_center(P)
-    segs = initial_segments(P.H)
-    rhs = [P.z.value(seg) for seg in segs]
+    segs = _prefix_masks(P.H)[:-1]
+    rhs = [P.z.values[m] for m in segs]
     coord_max = max(map(abs, center.coords), default=0) + box.bound
     _kernels.check_int64_window(n, coord_max, rhs)
     c = np.array(center.coords, dtype=np.int64).reshape(n)
     cands = _kernels.zero_sum_box(n, box.bound) + c
-    A = _constraint_rows(ground, segs)
-    b = np.array(rhs, dtype=np.int64)
-    mask = _kernels.lattice_filter(cands, A, b)
+    A = _kernels._subset_rows(n)[np.array(segs, dtype=np.intp) - 1]
+    mask = _kernels.lattice_filter(cands, A, np.array(rhs, dtype=np.int64))
     return PointSet(ground, cands[mask], AffinePoint)
 
 
@@ -165,5 +185,5 @@ def plate_F_face_contains(P: Plate, F: Composition, h: AffinePoint) -> bool:
         raise ValueError("ground sets differ")
     if not refines(F, P.H):
         return False
-    face_flat = FlatSpec(F, tuple(hei(c) for c in bf_comul_along(P.z, F)))
+    face_flat = FlatSpec(F, _lump_heights(P.z, F))
     return plate_contains(P, h) and flat_contains(face_flat, h)

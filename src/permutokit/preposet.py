@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
-from .setcomp import Bijection, Composition, GroundSet, _split_blocks, sorted_labels
+from .setcomp import (
+    Bijection,
+    Composition,
+    GroundSet,
+    _split_blocks,
+    _split_masks,
+    sorted_labels,
+)
 
 
 @dataclass(frozen=True)
@@ -130,13 +137,22 @@ def o_mul(p: AugPreposet, q: AugPreposet) -> AugPreposet:
     return Preposet.from_pairs(ground, list(p.pairs) + list(q.pairs))
 
 
+def _rows(p: Preposet) -> list[int]:
+    """Row i is the bitmask of the labels that labels[i] is related to."""
+    n = len(p.ground)
+    return [p.mask >> i * n & (1 << n) - 1 for i in range(n)]
+
+
+def _closed_upward(rows: list[int], S: int) -> bool:
+    """Whether no relation bit runs from a label outside S into S."""
+    return not any(r & S for t, r in enumerate(rows) if not S >> t & 1)
+
+
 def split_admissible(p: Preposet, S: Iterable, T: Iterable) -> bool:
-    """Whether (S,T) <= p, tested as: the relation of p is contained in the
-    total relation of the two-block composition (S|T)."""
-    two_block = Composition.of([blk for blk in (S, T) if blk])
-    if set(two_block.ground.labels) != set(p.ground.labels):
-        raise ValueError("S,T do not decompose the ground set")
-    return p.mask & ~total_of_composition(two_block).mask == 0
+    """Whether (S,T) <= p, i.e. the relation of p is contained in the total
+    relation of (S|T): no label of T is related to a label of S."""
+    S_mask, _ = _split_masks(p.ground, S, T)
+    return _closed_upward(_rows(p), S_mask)
 
 
 def o_comul(
@@ -190,17 +206,24 @@ def composition_of_total(p: Preposet) -> Composition:
 
 
 @lru_cache(maxsize=None)
+def upward_masks(p: Preposet) -> tuple[int, ...]:
+    """The bitmasks S, increasing, of the proper nonempty subsets with
+    (S, complement) <= p."""
+    rows = _rows(p)
+    return tuple(S for S in range(1, (1 << len(rows)) - 1) if _closed_upward(rows, S))
+
+
+@lru_cache(maxsize=None)
 def upward_pairs(p: Preposet) -> tuple[tuple[tuple, tuple], ...]:
-    """All proper two-block decompositions (S,T) with (S,T) <= p."""
+    """All proper two-block decompositions (S,T) with (S,T) <= p, as label
+    tuples in the order of upward_masks."""
     labels = p.ground.labels
-    n = len(labels)
-    out = []
-    for bits in range(1, (1 << n) - 1):
-        S = tuple(x for k, x in enumerate(labels) if bits >> k & 1)
-        T = tuple(x for k, x in enumerate(labels) if not bits >> k & 1)
-        if not any(p.has(t, s) for t in T for s in S):
-            out.append((S, T))
-    return tuple(out)
+    full = (1 << len(labels)) - 1
+
+    def block(m: int) -> tuple:
+        return tuple(x for k, x in enumerate(labels) if m >> k & 1)
+
+    return tuple((block(S), block(full ^ S)) for S in upward_masks(p))
 
 
 def relabel_preposet(sigma: Bijection, p: AugPreposet) -> AugPreposet:

@@ -8,7 +8,6 @@ of its base polytope; they carry the same product/face structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -75,16 +74,6 @@ def co_comul(h: CoweightVector, p: AugPreposet, S: Iterable, T: Iterable) -> Ten
     return TensorWord((cone_restrict(h, S), cone_restrict(h, T)))
 
 
-@lru_cache(maxsize=16)
-def _subset_rows(n: int) -> np.ndarray:
-    """Indicator rows of the nonempty proper subsets of n labels, row m-1
-    for bitmask m, as a read-only int64 array."""
-    masks = np.arange(1, (1 << n) - 1, dtype=np.int64)
-    A = (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1
-    A.setflags(write=False)
-    return A
-
-
 @dataclass(frozen=True)
 class SectionBasis:
     """The integer points of the base polytope of z, in lexicographic order.
@@ -111,7 +100,7 @@ class SectionBasis:
         if (rows.sum(axis=1) != hei(z)).any():
             raise ValueError("point has the wrong coordinate sum")
         b = np.array(z.values[1:-1], dtype=np.int64)
-        if (rows @ _subset_rows(len(z.ground)).T > b).any():
+        if (rows @ _kernels._subset_rows(len(z.ground)).T > b).any():
             raise ValueError("point violates a subset inequality")
 
 
@@ -128,7 +117,7 @@ def global_sections(z: BooleanFunction) -> SectionBasis:
     cands = _kernels.ranged_sum_box(
         np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64), hei(z)
     )
-    A = _subset_rows(n)
+    A = _kernels._subset_rows(n)
     b = np.array(z.values[1:full], dtype=np.int64)
     mask = _kernels.lattice_filter(cands, A, b)
     return SectionBasis(z, PointSet(ground, cands[mask], AffinePoint))

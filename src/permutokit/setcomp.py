@@ -26,11 +26,29 @@ def sorted_labels(labels: Iterable[Label]) -> tuple:
 
 
 def _split_blocks(ground: GroundSet, S: Iterable[Label], T: Iterable[Label]) -> tuple:
-    """S and T in canonical order; ValueError unless they decompose the ground."""
-    S, T = sorted_labels(S), sorted_labels(T)
-    if set(S) & set(T) or set(S) | set(T) != set(ground.labels):
+    """S and T in canonical order; ValueError unless they decompose the
+    ground (no label foreign or repeated)."""
+    labels = ground.labels
+    return tuple(
+        tuple(x for k, x in enumerate(labels) if m >> k & 1)
+        for m in _split_masks(ground, S, T)
+    )
+
+
+def _split_masks(ground: GroundSet, S: Iterable[Label], T: Iterable[Label]) -> tuple:
+    """Bitmasks of S and T over the ground's canonical order; ValueError
+    unless they decompose the ground."""
+    labels = ground.labels
+    masks = [0, 0]
+    for k, blk in enumerate((S, T)):
+        for x in blk:
+            bit = 1 << labels.index(x) if x in labels else 0
+            if not bit or (masks[0] | masks[1]) & bit:
+                raise ValueError("S,T do not decompose the ground set")
+            masks[k] |= bit
+    if masks[0] | masks[1] != (1 << len(labels)) - 1:
         raise ValueError("S,T do not decompose the ground set")
-    return S, T
+    return masks[0], masks[1]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ failed allocations exit 2 with a one-line message, never a traceback (exit 1
 is reserved for law counterexamples)."""
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -70,6 +71,36 @@ def test_bare_memory_error_names_itself(monkeypatch, capsys):
     code, out, err = run_cli(monkeypatch, capsys, ["cone", "points"], {})
     assert_one_line_error(code, out, err)
     assert err == "error: MemoryError\n"
+
+
+# Windows whose candidate grid exceeds the row budget are refused before any
+# array is allocated: 13^7 grid rows for the cone, (10^5 + 1)^3 for the sections.
+OVERSIZED = {
+    "cone-points-n8-bound6": (
+        ["cone", "points", "--bound", "6"],
+        {"p": {"ground": list(range(1, 9)), "rel": []}},
+    ),
+    "sections-count-singletons-1e5": (
+        ["sections", "count"],
+        {"z": {"ground": [1, 2, 3, 4], "values": {
+            ",".join(str(x) for x in range(1, 5) if m >> (x - 1) & 1): 10**5 if m else 0
+            for m in range(16)
+        }}},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, payload", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_oversized_window_exits_two_before_allocating(monkeypatch, capsys, argv, payload):
+    tracemalloc.start()
+    try:
+        result = run_cli(monkeypatch, capsys, argv, payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert_one_line_error(*result)
+    assert "candidate rows, above the budget" in result[2]
+    assert peak < 32 << 20
 
 
 def test_sections_mul_with_empty_ground_factor(monkeypatch, capsys):

@@ -70,6 +70,12 @@ class TestRangedSumBox:
         assert (box.sum(axis=1) == 4).all()
         assert (box >= lo).all() and (box <= hi).all()
 
+    def test_grid_above_the_row_budget_is_refused(self):
+        # the first n - 1 sides span 4097 * 4096 = 2^24 + 4096 rows
+        assert _kernels.ROW_BUDGET == 1 << 24
+        with pytest.raises(ValueError, match="16781312 candidate rows"):
+            _kernels.ranged_sum_box([0, 0, 0], [4096, 4095, 0], 0)
+
 
 def _random_instance(rng, rows, cols, n_cands):
     A = rng.integers(-2, 3, size=(rows, cols)).astype(np.int64)

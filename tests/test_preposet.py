@@ -2,6 +2,7 @@
 its absorbing bottom, and the product/coproduct pair."""
 import pytest
 
+from permutokit import preposet
 from permutokit.preposet import (
     Bottom,
     Preposet,
@@ -17,6 +18,7 @@ from permutokit.preposet import (
     restrict_preposet,
     split_admissible,
     total_of_composition,
+    upward_masks,
     upward_pairs,
 )
 from permutokit.setcomp import Bijection, Composition, GroundSet
@@ -209,3 +211,75 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ValueError):
             list(enumerate_preposets(GroundSet.of(range(6))))
+
+
+# ---------------------------------------------------------------------------
+# The label-based definitions that the mask tests replaced, kept as slow
+# oracles for the differential and mutation tests below.
+
+
+def label_upward_pairs(p):
+    labels = p.ground.labels
+    n = len(labels)
+    out = []
+    for bits in range(1, (1 << n) - 1):
+        S = tuple(x for k, x in enumerate(labels) if bits >> k & 1)
+        T = tuple(x for k, x in enumerate(labels) if not bits >> k & 1)
+        if not any(p.has(t, s) for t in T for s in S):
+            out.append((S, T))
+    return tuple(out)
+
+
+def label_split_admissible(p, S, T):
+    two_block = Composition.of([blk for blk in (S, T) if blk])
+    if set(two_block.ground.labels) != set(p.ground.labels):
+        raise ValueError("S,T do not decompose the ground set")
+    return p.mask & ~total_of_composition(two_block).mask == 0
+
+
+SPLIT_GROUNDS = [GroundSet.of(range(1, n + 1)) for n in range(5)] + [
+    GroundSet.of([2, "b", 1, "a"])
+]
+
+
+def split_mismatches(upward, admissible):
+    """Every (preposet, split) of SPLIT_GROUNDS on which upward(p) (masks) or
+    admissible(p, S, T) disagrees with the label-based oracles."""
+    bad = []
+    for ground in SPLIT_GROUNDS:
+        labels = ground.labels
+        n = len(labels)
+        for p in enumerate_preposets(ground):
+            pairs = label_upward_pairs(p)
+            masks = tuple(sum(1 << labels.index(x) for x in S) for S, _ in pairs)
+            if upward(p) != masks:
+                bad.append((p, "upward"))
+            for m in range(1 << n):
+                S = [x for k, x in enumerate(labels) if m >> k & 1]
+                T = [x for k, x in enumerate(labels) if not m >> k & 1]
+                if admissible(p, S, T) != label_split_admissible(p, S, T):
+                    bad.append((p, S, T))
+    return bad
+
+
+class TestMaskSplits:
+    def test_masks_and_pairs_match_the_label_definitions(self):
+        assert split_mismatches(upward_masks, split_admissible) == []
+        for ground in SPLIT_GROUNDS:
+            for p in enumerate_preposets(ground):
+                assert upward_pairs(p) == label_upward_pairs(p)
+
+    def test_split_admissible_rejects_what_does_not_decompose(self):
+        p = pre([1, 2, 3], (1, 2))
+        for S, T in [([1, 2], [2, 3]), ([1], [2]), ([1, 4], [2, 3]), ([1, 1], [2, 3])]:
+            with pytest.raises(ValueError):
+                label_split_admissible(p, S, T)
+            with pytest.raises(ValueError, match="do not decompose"):
+                split_admissible(p, S, T)
+
+    def test_oracle_catches_a_reversed_relation_direction(self, monkeypatch):
+        def reversed_direction(rows, S):
+            return not any(r & ~S for t, r in enumerate(rows) if S >> t & 1)
+
+        monkeypatch.setattr(preposet, "_closed_upward", reversed_direction)
+        assert split_mismatches(upward_masks.__wrapped__, split_admissible)

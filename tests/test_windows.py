@@ -9,13 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permutokit import _kernels
-from permutokit.boolfun import BooleanFunction, z_of_point
+from permutokit import _kernels, plates
+from permutokit.boolfun import BooleanFunction, bf_comul_along, hei, z_of_point
 from permutokit.cones import Box, CoweightVector, PointSet, cone_lattice_points
-from permutokit.plates import AffinePoint, Plate, plate_contains, plate_lattice_points
+from permutokit.plates import (
+    AffinePoint,
+    FlatSpec,
+    Plate,
+    flat_contains,
+    max_affine_flat,
+    plate_contains,
+    plate_F_face_contains,
+    plate_lattice_points,
+    window_center,
+)
 from permutokit.preposet import Bottom, Preposet, enumerate_preposets
 from permutokit.sections import SectionBasis, global_sections, sections_mul
-from permutokit.setcomp import Composition, GroundSet, all_compositions
+from permutokit.setcomp import Composition, GroundSet, all_compositions, refines
 
 GROUNDS = {n: GroundSet.of(range(1, n + 1)) for n in range(5)}
 BOUNDS = (0, 1, 2)
@@ -246,6 +256,48 @@ class TestDifferential:
         )
         with pytest.raises(ValueError, match="subset inequality"):
             global_sections(perm_bf(4))
+
+
+def comul_heights(z, F):
+    """Lump heights of F against z from the iterated coproduct."""
+    return tuple(hei(c) for c in bf_comul_along(z, F))
+
+
+def height_mismatches(z):
+    """Compositions H of z's ground on which max_affine_flat, window_center
+    or an F-face test disagrees with the heights from bf_comul_along."""
+    bad = []
+    for H in all_compositions(z.ground):
+        P = Plate(H, z)
+        heights = comul_heights(z, H)
+        center = {}
+        for lump, a in zip(H.lumps, heights):
+            q, r = divmod(a, len(lump))
+            center.update((x, q + 1 if k < r else q) for k, x in enumerate(lump))
+        h = AffinePoint.of(H.ground, center)
+        if max_affine_flat(P) != FlatSpec(H, heights) or window_center(P) != h:
+            bad.append(H)
+        for F in (Composition.one_lump(H.ground), H):
+            face = FlatSpec(F, comul_heights(z, F))
+            if refines(F, H) and plate_F_face_contains(P, F, h) != (
+                plate_contains(P, h) and flat_contains(face, h)
+            ):
+                bad.append((H, F))
+    return bad
+
+
+class TestLumpHeights:
+    @SETTINGS
+    @given(st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.integers(-(2**70), 2**70), min_size=(1 << n) - 1, max_size=(1 << n) - 1))))
+    def test_heights_match_the_iterated_coproduct(self, case):
+        n, values = case
+        assert height_mismatches(BooleanFunction(GROUNDS[n], (0, *values))) == []
+
+    def test_oracle_catches_a_prefix_that_drops_its_last_lump(self, monkeypatch):
+        real = plates._prefix_masks
+        monkeypatch.setattr(plates, "_prefix_masks", lambda F: [0] + real(F)[:-1])
+        assert height_mismatches(perm_bf(3))
 
 
 class TestSectionBasisValidation:
