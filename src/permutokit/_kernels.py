@@ -1,34 +1,23 @@
-"""Integer lattice kernels: window enumeration and halfspace filtering.
-
-Two execution paths for the hot loops. When numba is installed the filter is
-JIT-compiled; the env flag PERMUTOKIT_NUMBA=0 forces the pure-numpy fallback.
-int64 arithmetic is exact only while every sum stays in range, so each window
-is proved in range by `check_int64_window` before it is enumerated.
+"""Integer lattice kernels: window enumeration and halfspace filtering, in
+numpy. int64 arithmetic is exact only while every sum stays in range, so each
+window is proved in range by `check_int64_window` before it is enumerated.
 """
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    numba_installed = True
-except ImportError:  # pragma: no cover - depends on environment
-    numba_installed = False
-
-_flag = os.environ.get("PERMUTOKIT_NUMBA", "").strip().lower()
-use_numba = numba_installed and _flag not in ("0", "false", "no", "off")
-
-
 INT64_SAFE = 1 << 62
 
 # Largest candidate grid ranged_sum_box will allocate, in rows; building the
-# grid takes about 16 * (n - 1) bytes per row.
+# grid takes about 8 * (n + 1) bytes per row, plus a copy of the kept rows.
 ROW_BUDGET = 1 << 24
+
+# Most cells (candidate rows times constraint rows) of the int64 product
+# lattice_filter forms at once, 32 MiB; larger products go in row chunks.
+FILTER_CELLS = 1 << 22
 
 
 def check_int64_window(n: int, coord_max: int, values=()) -> None:
@@ -53,52 +42,21 @@ def _subset_rows(n: int) -> np.ndarray:
     return A
 
 
-def _filter_py(cands, A, b):
-    m = A.shape[0]
-    n = A.shape[1]
-    out = np.empty(cands.shape[0], dtype=np.bool_)
-    for r in range(cands.shape[0]):
-        ok = True
-        for i in range(m):
-            acc = 0
-            for j in range(n):
-                acc += A[i, j] * cands[r, j]
-            if acc > b[i]:
-                ok = False
-                break
-        out[r] = ok
-    return out
-
-
-if use_numba:
-    _filter_jit = njit(cache=True)(_filter_py)
-
-
-def _filter_numpy(cands, A, b):
-    if A.shape[0] == 0:
-        return np.ones(cands.shape[0], dtype=np.bool_)
-    return np.all(cands @ A.T <= b, axis=1)
-
-
-def lattice_filter(cands, A, b, force_path: str | None = None):
+def lattice_filter(cands, A, b):
     """Boolean mask of candidate rows satisfying A @ x <= b.
 
-    cands: (N, n) int64; A: (m, n) int64; b: (m,) int64.
-    force_path: None for the configured default, "numpy" or "numba" to pin.
+    cands: (N, n) int64; A: (m, n) int64; b: (m,) int64. The product
+    cands @ A.T is formed for at most FILTER_CELLS cells at a time.
     """
     cands = np.ascontiguousarray(cands, dtype=np.int64)
     A = np.ascontiguousarray(A, dtype=np.int64)
     b = np.ascontiguousarray(b, dtype=np.int64)
-    path = force_path or ("numba" if use_numba else "numpy")
-    if path == "numba":
-        if not use_numba:
-            raise RuntimeError("numba path requested but not enabled")
-        if A.shape[0] == 0:
-            return np.ones(cands.shape[0], dtype=np.bool_)
-        return _filter_jit(cands, A, b)
-    if path == "numpy":
-        return _filter_numpy(cands, A, b)
-    raise ValueError(f"unknown path {path!r}")
+    out = np.empty(cands.shape[0], dtype=np.bool_)
+    step = max(1, FILTER_CELLS // max(A.shape[0], 1))
+    for i in range(0, cands.shape[0], step):
+        # with no constraint rows the product has no columns: all() is True
+        (cands[i:i + step] @ A.T <= b).all(axis=1, out=out[i:i + step])
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -135,8 +93,10 @@ def ranged_sum_box(lo, hi, total: int) -> np.ndarray:
             f"window has {grid_rows} candidate rows, above the budget of {ROW_BUDGET}"
         )
     sides = [np.arange(lo[j], hi[j] + 1, dtype=np.int64) for j in range(n - 1)]
-    grids = np.meshgrid(*sides, indexing="ij")
-    first = np.stack([g.ravel() for g in grids], axis=1)
+    # one grid copy: the stack of broadcast views, then only the kept rows
+    first = np.stack(np.meshgrid(*sides, indexing="ij", copy=False), axis=-1)
+    first = first.reshape(grid_rows, n - 1)
     last = total - first.sum(axis=1)
     keep = (last >= lo[n - 1]) & (last <= hi[n - 1])
-    return np.concatenate([first[keep], last[keep, None]], axis=1)
+    first = first[keep]
+    return np.concatenate([first, last[keep, None]], axis=1)

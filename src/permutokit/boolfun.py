@@ -63,8 +63,8 @@ def hei(z: BooleanFunction) -> int:
 def bf_mul(z1: BooleanFunction, z2: BooleanFunction) -> BooleanFunction:
     """(z1|z2)(A) = z1(A ∩ S) + z2(A ∩ T) over the disjoint union."""
     ground = z1.ground.union(z2.ground)  # raises on overlap
-    pos1 = [ground.index(x) for x in z1.ground.labels]
-    pos2 = [ground.index(x) for x in z2.ground.labels]
+    pos1 = ground.positions(z1.ground.labels)
+    pos2 = ground.positions(z2.ground.labels)
     vals = []
     for m in range(1 << len(ground)):
         m1 = sum(1 << k for k, p in enumerate(pos1) if m >> p & 1)
@@ -84,8 +84,8 @@ def bf_comul(
     S, T = _split_blocks(z.ground, S, T)
     gS, gT = GroundSet.of(S), GroundSet.of(T)
     maskS = z.mask_of(S)
-    posS = [z.ground.index(x) for x in S]
-    posT = [z.ground.index(x) for x in T]
+    posS = z.ground.positions(S)
+    posT = z.ground.positions(T)
     valsS = []
     for m in range(1 << len(S)):
         mm = sum(1 << p for k, p in enumerate(posS) if m >> k & 1)
@@ -119,7 +119,7 @@ def z_of_point(ground: GroundSet, h) -> BooleanFunction:
     order; no zero-sum requirement.
     """
     if hasattr(h, "coord"):
-        vec = [h.coord(x) for x in ground.labels]
+        vec = [h.coords[k] for k in h.ground.positions(ground.labels)]
     elif isinstance(h, dict):
         vec = [h[x] for x in ground.labels]
     else:

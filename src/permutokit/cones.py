@@ -1,6 +1,8 @@
 """Coroot cones indexed by preposets: membership, windowed lattice points,
-products, and faces. Also the `PointSet` carrier that every lattice-point
-window (cone, plate, section) returns.
+products, and faces. Also the integer point classes (`AffinePoint` and its
+zero-sum subclass `CoweightVector`), their one juxtaposition and one
+restriction, and the `PointSet` carrier that every lattice-point window
+(cone, plate, section) returns.
 
 The cone of a preposet p lives in the zero-sum lattice. Membership is decided
 by the halfspace description: the pairing with every admissible upward split
@@ -28,12 +30,12 @@ from .preposet import (
     upward_masks,
     upward_pairs,
 )
-from .setcomp import GroundSet, _split_blocks, sorted_labels
+from .setcomp import GroundSet, _split_blocks
 
 
 @dataclass(frozen=True)
-class CoweightVector:
-    """Exact vector on a ground set with coordinate sum zero."""
+class AffinePoint:
+    """Exact coordinate vector on a ground set, no sum constraint."""
 
     ground: GroundSet
     coords: tuple
@@ -41,19 +43,31 @@ class CoweightVector:
     def __post_init__(self):
         if len(self.coords) != len(self.ground):
             raise ValueError("coordinate count does not match the ground set")
+
+    @classmethod
+    def of(cls, ground: GroundSet, mapping) -> "AffinePoint":
+        return cls(ground, tuple(mapping[x] for x in ground.labels))
+
+    def coord(self, x) -> int | Fraction:
+        return self.coords[self.ground.index(x)]
+
+    def total(self) -> int | Fraction:
+        return sum(self.coords)
+
+
+@dataclass(frozen=True)
+class CoweightVector(AffinePoint):
+    """Exact vector on a ground set with coordinate sum zero. Never equal to
+    an AffinePoint: dataclass equality compares classes."""
+
+    def __post_init__(self):
+        super().__post_init__()
         if sum(self.coords) != 0:
             raise ValueError("coordinates must sum to zero")
 
     @staticmethod
-    def of(ground: GroundSet, mapping) -> "CoweightVector":
-        return CoweightVector(ground, tuple(mapping[x] for x in ground.labels))
-
-    @staticmethod
     def zero(ground: GroundSet) -> "CoweightVector":
         return CoweightVector(ground, (0,) * len(ground))
-
-    def coord(self, x) -> int | Fraction:
-        return self.coords[self.ground.index(x)]
 
     def __neg__(self) -> "CoweightVector":
         return CoweightVector(self.ground, tuple(-c for c in self.coords))
@@ -64,6 +78,21 @@ class CoweightVector:
         return CoweightVector(
             self.ground, tuple(a + b for a, b in zip(self.coords, other.coords))
         )
+
+
+def juxtaposed(ground: GroundSet, parts: Iterable) -> tuple:
+    """The coordinates on ground of points on disjoint grounds covering it:
+    each part's coordinates are scattered to the positions of its labels."""
+    coords = [None] * len(ground)
+    for h in parts:
+        for k, c in zip(ground.positions(h.ground.labels), h.coords):
+            coords[k] = c
+    return tuple(coords)
+
+
+def restricted(h, ground: GroundSet) -> tuple:
+    """The coordinates of h at the labels of ground, a subset of h's ground."""
+    return tuple(h.coords[k] for k in h.ground.positions(ground.labels))
 
 
 def _unchecked(kind: type, ground: GroundSet, coords: tuple):
@@ -179,8 +208,8 @@ def coroot(i1, i2, ground: GroundSet) -> CoweightVector:
     if i1 not in ground or i2 not in ground:
         raise ValueError("labels outside the ground set")
     coords = [0] * len(ground)
-    coords[ground.index(i1)] = 1
-    coords[ground.index(i2)] = -1
+    k1, k2 = ground.positions((i1, i2))
+    coords[k1], coords[k2] = 1, -1
     return CoweightVector(ground, tuple(coords))
 
 
@@ -189,7 +218,7 @@ def pairing(h, S: Iterable) -> int | Fraction:
     S = set(S)
     if not S <= set(h.ground.labels):
         raise ValueError("S is not a subset of the ground set")
-    return sum(h.coord(x) for x in S) if S else 0
+    return sum(h.coords[k] for k in h.ground.positions(S))
 
 
 def cone_contains(p: AugPreposet, h) -> bool:
@@ -223,16 +252,13 @@ def cone_lattice_points(p: AugPreposet, box: Box) -> PointSet:
 def cone_product_map(h1: CoweightVector, h2: CoweightVector) -> CoweightVector:
     """Juxtaposition onto the disjoint union of grounds."""
     ground = h1.ground.union(h2.ground)  # raises on overlap
-    coords = tuple(
-        h1.coord(x) if x in h1.ground else h2.coord(x) for x in ground.labels
-    )
-    return CoweightVector(ground, coords)
+    return CoweightVector(ground, juxtaposed(ground, (h1, h2)))
 
 
 def cone_restrict(h, S: Iterable) -> CoweightVector:
     """Coordinate restriction; the result must again be zero-sum."""
-    S = sorted_labels(S)
-    return CoweightVector(GroundSet.of(S), tuple(h.coord(x) for x in S))
+    ground = GroundSet.of(S)
+    return CoweightVector(ground, restricted(h, ground))
 
 
 def cone_face(p: AugPreposet, S: Iterable, T: Iterable) -> AugPreposet:

@@ -19,8 +19,8 @@ import math
 from fractions import Fraction
 
 from .boolfun import BooleanFunction
-from .cones import CoweightVector, PointSet
-from .plates import AffinePoint, Plate
+from .cones import AffinePoint, CoweightVector, PointSet
+from .plates import Plate
 from .points import PermPoint
 from .preposet import AugPreposet, Bottom, Preposet, is_bottom
 from .sections import SectionBasis, TensorWord
@@ -170,40 +170,34 @@ def decode_preposet(obj) -> AugPreposet:
 # integer and rational coordinate vectors
 
 
-def _encode_coords(ground: GroundSet, coord_fn, as_str: bool) -> dict:
+def encode_coweight(h: AffinePoint) -> dict:
+    """{"coords": {label: int}} for a point of either integer class;
+    ValueError naming the label of a coordinate that is not integral."""
     out = {}
-    for x in ground.labels:
-        v = coord_fn(x)
-        out[str(x)] = str(v) if as_str else int(v)
-    return out
+    for x, v in zip(h.ground.labels, h.coords):
+        if v != int(v):
+            raise ValueError(f"coordinate {x!r} is not an integer: {v}")
+        out[str(x)] = int(v)
+    return {"coords": out}
 
 
-def _decode_coords(obj) -> dict:
+encode_affine_point = encode_coweight
+
+
+def _decode_int_point(kind: type, obj) -> AffinePoint:
     if not isinstance(obj, dict) or not isinstance(obj.get("coords"), dict):
         raise ValueError("expected an object with a 'coords' mapping")
-    return {parse_label(k): v for k, v in obj["coords"].items()}
-
-
-def encode_coweight(h: CoweightVector) -> dict:
-    return {"coords": _encode_coords(h.ground, h.coord, as_str=False)}
-
-
-def _decode_int_coords(obj) -> dict:
-    return {k: decode_int(v, f"coordinate {k!r}") for k, v in _decode_coords(obj).items()}
+    coords = {parse_label(k): v for k, v in obj["coords"].items()}
+    coords = {x: decode_int(v, f"coordinate {x!r}") for x, v in coords.items()}
+    return kind.of(GroundSet.of(coords), coords)
 
 
 def decode_coweight(obj) -> CoweightVector:
-    coords = _decode_int_coords(obj)
-    return CoweightVector.of(GroundSet.of(coords.keys()), coords)
-
-
-def encode_affine_point(h: AffinePoint) -> dict:
-    return {"coords": _encode_coords(h.ground, h.coord, as_str=False)}
+    return _decode_int_point(CoweightVector, obj)
 
 
 def decode_affine_point(obj) -> AffinePoint:
-    coords = _decode_int_coords(obj)
-    return AffinePoint.of(GroundSet.of(coords.keys()), coords)
+    return _decode_int_point(AffinePoint, obj)
 
 
 def encode_point_set(pts: PointSet) -> list:

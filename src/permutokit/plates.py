@@ -6,37 +6,14 @@ membership, and the juxtaposition map between flats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .boolfun import BooleanFunction, hei
-from .cones import PointSet, pairing
-from .setcomp import Composition, GroundSet, refines, sorted_labels
-
-
-@dataclass(frozen=True)
-class AffinePoint:
-    """Exact coordinate vector on a ground set, no sum constraint."""
-
-    ground: GroundSet
-    coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) != len(self.ground):
-            raise ValueError("coordinate count does not match the ground set")
-
-    @staticmethod
-    def of(ground: GroundSet, mapping) -> "AffinePoint":
-        return AffinePoint(ground, tuple(mapping[x] for x in ground.labels))
-
-    def coord(self, x) -> int | Fraction:
-        return self.coords[self.ground.index(x)]
-
-    def total(self) -> int | Fraction:
-        return sum(self.coords) if self.coords else 0
+from .cones import AffinePoint, PointSet, juxtaposed, pairing, restricted
+from .setcomp import EMPTY_GROUND, Composition, GroundSet, refines, sorted_labels
 
 
 @dataclass(frozen=True)
@@ -154,25 +131,20 @@ def plate_lattice_points(P: Plate, box) -> PointSet:
 
 
 def restrict_point(h: AffinePoint, S: Iterable) -> AffinePoint:
-    S = sorted_labels(S)
-    return AffinePoint(GroundSet.of(S), tuple(h.coord(x) for x in S))
+    ground = GroundSet.of(S)
+    return AffinePoint(ground, restricted(h, ground))
 
 
 def flat_mul(points: Sequence[AffinePoint], heights: Sequence[int]) -> AffinePoint:
     """Juxtapose points whose coordinate sums match the prescribed heights."""
     if len(points) != len(heights):
         raise ValueError("one height per point required")
-    coords: dict = {}
-    ground: GroundSet | None = None
+    ground = EMPTY_GROUND
     for pt, a in zip(points, heights):
         if pt.total() != a:
             raise ValueError("coordinate sum does not match the prescribed height")
-        ground = pt.ground if ground is None else ground.union(pt.ground)
-        for x in pt.ground.labels:
-            coords[x] = pt.coord(x)
-    if ground is None:
-        ground = GroundSet.of(())
-    return AffinePoint.of(ground, coords)
+        ground = ground.union(pt.ground)  # raises on overlap
+    return AffinePoint(ground, juxtaposed(ground, points))
 
 
 def plate_F_face_contains(P: Plate, F: Composition, h: AffinePoint) -> bool:

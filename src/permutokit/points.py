@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .cones import CoweightVector, cone_contains, pairing
+from .cones import CoweightVector, cone_contains, juxtaposed, pairing, restricted
 from .preposet import total_of_composition
 from .setcomp import (
     Bijection,
@@ -71,10 +71,7 @@ def point_mul(x1: PermPoint, x2: PermPoint) -> PermPoint:
     """Concatenate orbits and juxtapose scalars; lumps are unchanged, so the
     normalization carries over."""
     orbit = concatenate(x1.orbit, x2.orbit)  # raises on overlap
-    coords = tuple(
-        x1.coord(x) if x in x1.ground else x2.coord(x) for x in orbit.ground.labels
-    )
-    return PermPoint(orbit, coords)
+    return PermPoint(orbit, juxtaposed(orbit.ground, (x1, x2)))
 
 
 def point_comul(
@@ -86,7 +83,8 @@ def point_comul(
     halves = []
     for blk in (S, T):
         orbit = restrict(x.orbit, blk)
-        halves.append(PermPoint.of(orbit, {l: x.coord(l) for l in blk}))
+        coords = restricted(x, orbit.ground)
+        halves.append(PermPoint.of(orbit, dict(zip(orbit.ground.labels, coords))))
     return halves[0], halves[1]
 
 
@@ -107,10 +105,10 @@ def evaluate(x: PermPoint, H: Composition, h: CoweightVector) -> Fraction:
         if pairing(h, lump) != 0:
             return Fraction(0)
     val = Fraction(1)
-    for x_lab, e in zip(x.ground.labels, h.coords):
+    for c, e in zip(x.coords, h.coords):
         if e != int(e):
             raise ValueError("exponents must be integers")
-        val *= x.coord(x_lab) ** int(e)
+        val *= c ** int(e)
     return val
 
 

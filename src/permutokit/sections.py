@@ -15,6 +15,7 @@ import numpy as np
 from . import _kernels
 from .boolfun import BooleanFunction, bf_comul, bf_mul, hei
 from .cones import (
+    AffinePoint,
     CoweightVector,
     PointSet,
     cone_contains,
@@ -23,7 +24,7 @@ from .cones import (
     cone_restrict,
     pairing,
 )
-from .plates import AffinePoint, restrict_point
+from .plates import restrict_point
 from .preposet import AugPreposet, o_mul
 from .setcomp import _split_blocks, sorted_labels
 
@@ -130,8 +131,8 @@ def sections_mul(s1: SectionBasis, s2: SectionBasis) -> SectionBasis:
     ground = z.ground
     r1, r2 = s1.points.rows, s2.points.rows
     rows = np.empty((len(r1) * len(r2), len(ground)), dtype=np.int64)
-    rows[:, [ground.index(x) for x in s1.z.ground.labels]] = np.repeat(r1, len(r2), axis=0)
-    rows[:, [ground.index(x) for x in s2.z.ground.labels]] = np.tile(r2, (len(r1), 1))
+    rows[:, ground.positions(s1.z.ground.labels)] = np.repeat(r1, len(r2), axis=0)
+    rows[:, ground.positions(s2.z.ground.labels)] = np.tile(r2, (len(r1), 1))
     if len(ground):
         rows = rows[np.lexsort(rows.T[::-1])]
     return SectionBasis(z, PointSet(ground, rows, AffinePoint))

@@ -79,6 +79,12 @@ class GroundSet:
     def index(self, x: Label) -> int:
         return self.labels.index(x)
 
+    def positions(self, labels: Iterable[Label]) -> list[int]:
+        """The canonical index of each label, in the given order: the one
+        map every coordinate scatter (juxtaposition) and gather (restriction)
+        goes through. ValueError on a label outside the ground set."""
+        return list(map(self.labels.index, labels))
+
     def union(self, other: "GroundSet") -> "GroundSet":
         if set(self.labels) & set(other.labels):
             raise ValueError("ground sets overlap")

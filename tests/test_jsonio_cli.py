@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -123,6 +124,33 @@ class TestRoundTrips:
         with pytest.raises(ValueError):
             jsonio.decode_affine_point({"coords": [1, 2]})
 
+    def test_one_codec_for_both_point_classes(self):
+        g = GroundSet.of([1, "a"])
+        h, a = CoweightVector(g, (2, -2)), AffinePoint(g, (2, -2))
+        assert jsonio.encode_coweight(h) == jsonio.encode_affine_point(a)
+        assert jsonio.encode_coweight(h) == {"coords": {"1": 2, "a": -2}}
+        assert type(jsonio.decode_coweight(jsonio.encode_coweight(h))) is CoweightVector
+        assert type(jsonio.decode_affine_point(jsonio.encode_coweight(h))) is AffinePoint
+        # integral Fractions are written as integers, as before
+        assert jsonio.encode_coweight(AffinePoint(g, (Fraction(4, 2), 5))) == {
+            "coords": {"1": 2, "a": 5}
+        }
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            CoweightVector(GroundSet.of([1, 2]), (Fraction(1, 2), Fraction(-1, 2))),
+            AffinePoint(GroundSet.of([1, 2]), (0, Fraction(7, 2))),
+            AffinePoint(GroundSet.of([1, 2]), (4, 2.9)),
+        ],
+    )
+    def test_non_integral_coordinate_is_named_not_truncated(self, point):
+        label = next(x for x, v in zip(point.ground, point.coords) if v != int(v))
+        with pytest.raises(ValueError, match=f"coordinate {label!r} is not an integer"):
+            jsonio.encode_coweight(point)
+        with pytest.raises(ValueError, match=f"coordinate {label!r} is not an integer"):
+            jsonio.encode_affine_point(point)
+
     def test_boolean_function(self):
         z = bf([1, 2, 3], PERM3)
         assert jsonio.decode_bf(jsonio.encode_bf(z)) == z
@@ -152,8 +180,6 @@ class TestRoundTrips:
         assert enc == {"parts": [{"coords": {"1": 3}}]}
 
     def test_point(self):
-        from fractions import Fraction
-
         x = PermPoint.of(comp([1, 3], [2]), {1: 1, 2: Fraction(3, 4), 3: Fraction(-2, 5)})
         assert jsonio.decode_point(jsonio.encode_point(x)) == x
 

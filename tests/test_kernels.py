@@ -1,8 +1,7 @@
 """Enumeration kernels: candidate boxes and the constraint filter, with
-agreement between the compiled path and the pure-numpy fallback."""
-import os
-import subprocess
-import sys
+agreement between the one-product and the row-chunked filter and a bound on
+the filter's memory."""
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,49 +91,49 @@ class TestLatticeFilter:
         expect = (cands @ A.T <= b).all(axis=1)
         assert (mask == expect).all()
 
-    def test_paths_agree(self):
+    def test_paths_agree(self, monkeypatch):
+        # the whole product at once, and chunks of 1, 2, 3 and 39 of the 40 rows
         rng = np.random.default_rng(5)
         for _ in range(20):
             cands, A, b = _random_instance(rng, 3, 4, 40)
-            numpy_mask = _kernels.lattice_filter(cands, A, b, force_path="numpy")
-            assert (numpy_mask == _kernels.lattice_filter(cands, A, b)).all()
-            if _kernels.use_numba:
-                numba_mask = _kernels.lattice_filter(cands, A, b, force_path="numba")
-                assert (numpy_mask == numba_mask).all()
+            whole = _kernels.lattice_filter(cands, A, b)
+            for cells in (1, 6, 9, 3 * 39):
+                monkeypatch.setattr(_kernels, "FILTER_CELLS", cells)
+                assert (_kernels.lattice_filter(cands, A, b) == whole).all()
+            monkeypatch.undo()
+
+    def test_chunked_filter_matches_direct_check(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        cands, A, b = _random_instance(rng, 6, 5, 1000)
+        expect = (cands @ A.T <= b).all(axis=1)
+        assert 0 < expect.sum() < len(expect)
+        # 7 rows a chunk: 143 chunks, the last one partial
+        monkeypatch.setattr(_kernels, "FILTER_CELLS", 42)
+        assert (_kernels.lattice_filter(cands, A, b) == expect).all()
+        monkeypatch.setattr(_kernels, "FILTER_CELLS", 1)
+        assert (_kernels.lattice_filter(cands, A, b) == expect).all()
+        assert _kernels.lattice_filter(cands[:0], A, b).shape == (0,)
 
     def test_no_constraints_keeps_everything(self):
         cands = np.zeros((5, 2), dtype=np.int64)
         A = np.zeros((0, 2), dtype=np.int64)
         b = np.zeros(0, dtype=np.int64)
-        for path in ("numpy", None):
-            assert _kernels.lattice_filter(cands, A, b, force_path=path).all()
-        if _kernels.use_numba:
-            assert _kernels.lattice_filter(cands, A, b, force_path="numba").all()
+        assert _kernels.lattice_filter(cands, A, b).all()
 
-    def test_forcing_disabled_numba_raises(self):
-        if _kernels.use_numba:
-            pytest.skip("compiled path is enabled here")
-        cands = np.zeros((1, 1), dtype=np.int64)
-        A = np.zeros((0, 1), dtype=np.int64)
-        b = np.zeros(0, dtype=np.int64)
-        with pytest.raises(RuntimeError):
-            _kernels.lattice_filter(cands, A, b, force_path="numba")
+    def test_memory_is_bounded_on_a_large_cone_window(self):
+        # the 7-label antichain at bound 4: 273127 zero-sum candidates against
+        # 126 constraint rows, a 262 MiB product if formed at once
+        from permutokit.cones import Box, cone_lattice_points
+        from permutokit.preposet import Preposet
+        from permutokit.setcomp import GroundSet
 
-
-class TestEnvFlag:
-    def test_flag_disables_compiled_path(self):
-        code = "from permutokit import _kernels; print(_kernels.use_numba)"
-        env = dict(os.environ, PERMUTOKIT_NUMBA="0")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.stdout.strip() == "False"
-
-    @pytest.mark.skipif(not _kernels.numba_installed, reason="no compiled backend")
-    def test_flag_enables_compiled_path(self):
-        code = "from permutokit import _kernels; print(_kernels.use_numba)"
-        env = dict(os.environ, PERMUTOKIT_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.stdout.strip() == "True"
+        p = Preposet.from_pairs(GroundSet.of(range(1, 8)), [])
+        _kernels.zero_sum_box.cache_clear()
+        tracemalloc.start()
+        try:
+            pts = cone_lattice_points(p, Box(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pts.rows.tolist() == [[0] * 7]
+        assert peak < 64 << 20

@@ -1,13 +1,27 @@
 """Torus-orbit points: concatenation, forget-and-stabilize, exact monomial
-evaluation with the cross-lump vanishing rule, and relabeling."""
+evaluation with the cross-lump vanishing rule, and relabeling. Also the one
+juxtaposition and one restriction shared by every point class, checked
+against label-based oracles, and the contract of the two integer point
+classes."""
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from permutokit.cones import CoweightVector, coroot
+from permutokit import plates
+from permutokit.boolfun import BooleanFunction
+from permutokit.cones import (
+    AffinePoint,
+    CoweightVector,
+    PointSet,
+    cone_product_map,
+    coroot,
+)
+from permutokit.plates import flat_mul, restrict_point
 from permutokit.points import PermPoint, evaluate, point_comul, point_mul, point_relabel
-from permutokit.sections import co_mul
+from permutokit.sections import co_mul, global_sections, sections_mul
 from permutokit.setcomp import (
     Bijection,
     Composition,
@@ -16,6 +30,7 @@ from permutokit.setcomp import (
     concatenate,
     refines,
     restrict,
+    sorted_labels,
 )
 from permutokit.preposet import total_of_composition
 from permutokit.cones import cone_lattice_points, Box, cone_restrict
@@ -271,3 +286,214 @@ def relabel_comp(sigma, H):
     from permutokit.setcomp import relabel
 
     return relabel(sigma, H)
+
+
+# ---------------------------------------------------------------------------
+# one juxtaposition and one restriction for every point class: differential
+# checks against the label-based definitions, copied in as oracles
+
+
+SPLIT_GROUNDS = [GroundSet.of(range(1, n + 1)) for n in range(5)] + [
+    GroundSet.of([1, 2, "a", "b"])
+]
+SPLITS = [
+    (
+        g,
+        tuple(x for k, x in enumerate(g.labels) if m >> k & 1),
+        tuple(x for k, x in enumerate(g.labels) if not m >> k & 1),
+    )
+    for g in SPLIT_GROUNDS
+    for m in range(1 << len(g))
+]
+FAMILIES = (
+    "cone_product_map", "flat_mul", "point_mul", "sections_mul",
+    "cone_restrict", "restrict_point", "point_comul",
+)
+MAP_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def old_juxtapose(h1, h2, ground):
+    return tuple(h1.coord(x) if x in h1.ground else h2.coord(x) for x in ground.labels)
+
+
+def old_restrict(h, S):
+    S = sorted_labels(S)
+    return GroundSet.of(S), tuple(h.coord(x) for x in S)
+
+
+def old_flat_mul(points, heights):
+    coords, ground = {}, GroundSet.of(())
+    for pt, a in zip(points, heights):
+        if pt.total() != a:
+            raise ValueError("height")
+        ground = ground.union(pt.ground)
+        for x in pt.ground.labels:
+            coords[x] = pt.coord(x)
+    return AffinePoint(ground, tuple(coords[x] for x in ground.labels))
+
+
+def old_point_comul(x, S, T):
+    return tuple(
+        PermPoint.of(restrict(x.orbit, blk), {l: x.coord(l) for l in blk}) for blk in (S, T)
+    )
+
+
+def outcome(fn, *args):
+    """The result, or ValueError when fn raises it."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def _zero_sum(vals):
+    return tuple(vals[:-1]) + (-sum(vals[:-1]),) if vals else ()
+
+
+def _sections(labels, shift):
+    """Sections of the permutohedron on labels, translated by shift."""
+    k = len(labels)
+    z = BooleanFunction.from_callable(
+        GroundSet.of(labels),
+        lambda A: sum(range(k, k - len(A), -1)) + sum(shift[x] for x in A),
+    )
+    return global_sections(z)
+
+
+def map_mismatches(g, S, T, ints, shifts, fracs, lump_ids):
+    """The families among FAMILIES whose result on the split (S, T) of g
+    differs from its oracle, in class or in value."""
+    gS, gT = GroundSet.of(S), GroundSet.of(T)
+    n = len(g)
+    bad = set()
+
+    def check(name, got, want):
+        if type(got) is not type(want) or got != want:
+            bad.add(name)
+
+    h1 = CoweightVector(gS, _zero_sum(ints[: len(S)]))
+    h2 = CoweightVector(gT, _zero_sum(ints[4 : 4 + len(T)]))
+    for a, b in ((h1, h2), (h2, h1)):
+        check("cone_product_map", outcome(cone_product_map, a, b),
+              CoweightVector(g, old_juxtapose(a, b, g)))
+    joined = CoweightVector(g, old_juxtapose(h1, h2, g))
+    for v in (CoweightVector(g, _zero_sum(ints[:n])), joined):
+        for blk in (S, T):
+            check("cone_restrict", outcome(cone_restrict, v, blk),
+                  outcome(lambda: CoweightVector(*old_restrict(v, blk))))
+
+    pt = AffinePoint(g, tuple(ints[:n]))
+    for v in (pt, joined):
+        for blk in (S, T):
+            check("restrict_point", outcome(restrict_point, v, blk),
+                  AffinePoint(*old_restrict(v, blk)))
+    parts = [AffinePoint(*old_restrict(pt, blk)) for blk in (S, T)]
+    for seq in (parts, parts[::-1]):
+        heights = [p.total() for p in seq]
+        check("flat_mul", outcome(flat_mul, seq, heights), old_flat_mul(seq, heights))
+
+    shift = dict(zip(g.labels, shifts))
+    s1, s2 = _sections(S, shift), _sections(T, shift)
+    want = sorted(old_juxtapose(p1, p2, g) for p1 in s1.points for p2 in s2.points)
+    got = outcome(sections_mul, s1, s2)
+    if got is ValueError or [tuple(r) for r in got.points.rows.tolist()] != want:
+        bad.add("sections_mul")
+
+    lump_of = dict(zip(g.labels, lump_ids))
+    orbit = lambda labels: Composition.of(
+        [[x for x in labels if lump_of[x] == i] for i in sorted({lump_of[x] for x in labels})]
+    )
+    raw = dict(zip(g.labels, fracs))
+    x1, x2 = PermPoint.of(orbit(S), raw), PermPoint.of(orbit(T), raw)
+    for a, b in ((x1, x2), (x2, x1)):
+        check("point_mul", outcome(point_mul, a, b),
+              PermPoint(concatenate(a.orbit, b.orbit), old_juxtapose(a, b, g)))
+    x = PermPoint.of(orbit(g.labels), raw)
+    check("point_comul", outcome(point_comul, x, S, T), old_point_comul(x, S, T))
+    return sorted(bad)
+
+
+BIG = st.integers(-(2**70), 2**70)
+NONZERO_FRACTIONS = st.fractions(
+    min_value=-(2**70), max_value=2**70, max_denominator=2**70
+).filter(lambda f: f != 0)
+
+
+class TestCoordinateMaps:
+    @MAP_SETTINGS
+    @given(
+        st.lists(BIG, min_size=8, max_size=8),
+        st.lists(st.integers(-(2**58), 2**58), min_size=4, max_size=4),
+        st.lists(NONZERO_FRACTIONS, min_size=4, max_size=4),
+        st.lists(st.integers(0, 3), min_size=4, max_size=4),
+    )
+    def test_every_split_matches_the_label_oracles(self, ints, shifts, fracs, lump_ids):
+        for g, S, T in SPLITS:
+            assert map_mismatches(g, S, T, ints, shifts, fracs, lump_ids) == [], (S, T)
+
+    def test_reversing_one_parts_positions_is_caught(self, monkeypatch):
+        g, S, T = GroundSet.of([1, 2, "a", "b"]), (1, "a"), (2, "b")
+        args = ([3, -5, 7, 11, -2, 13, 17, -19], [0, 4, -9, 2],
+                [Fraction(k, 3) for k in (2, -5, 7, 11)], [0, 1, 0, 1])
+        assert map_mismatches(g, S, T, *args) == []
+        real = GroundSet.positions
+
+        def reversed_for_S(self, labels):
+            labels = tuple(labels)
+            pos = real(self, labels)
+            return pos[::-1] if labels == S else pos
+
+        monkeypatch.setattr(GroundSet, "positions", reversed_for_S)
+        assert map_mismatches(g, S, T, *args) == sorted(FAMILIES)
+
+
+class TestPointClasses:
+    g = GroundSet.of([1, "a"])
+
+    def test_return_classes(self):
+        h = CoweightVector(self.g, (2, -2))
+        a = AffinePoint(self.g, (2, -2))
+        assert type(cone_product_map(h, CoweightVector(GroundSet.of([3]), (0,)))) is CoweightVector
+        assert type(cone_restrict(a, [1, "a"])) is CoweightVector
+        assert type(restrict_point(h, [1])) is AffinePoint
+        assert type(flat_mul([h], [0])) is AffinePoint
+        assert type(CoweightVector.of(self.g, {1: 1, "a": -1})) is CoweightVector
+        assert type(AffinePoint.of(self.g, {1: 1, "a": 1})) is AffinePoint
+        assert type(-h) is CoweightVector and type(h + h) is CoweightVector
+        assert CoweightVector.zero(self.g) == CoweightVector(self.g, (0, 0))
+        assert h.total() == 0 and a.total() == 0 and h.coord("a") == -2
+
+    def test_classes_never_compare_equal(self):
+        h = CoweightVector(self.g, (2, -2))
+        a = AffinePoint(self.g, (2, -2))
+        assert h != a and a != h
+        assert isinstance(h, AffinePoint) and not isinstance(a, CoweightVector)
+        with pytest.raises(TypeError):
+            a + a
+
+    def test_repr(self):
+        assert repr(CoweightVector(self.g, (1, -1))) == (
+            "CoweightVector(ground=GroundSet(labels=(1, 'a')), coords=(1, -1))"
+        )
+        assert repr(AffinePoint(self.g, (1, -1))) == (
+            "AffinePoint(ground=GroundSet(labels=(1, 'a')), coords=(1, -1))"
+        )
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="sum to zero"):
+            CoweightVector(self.g, (1, 1))
+        with pytest.raises(ValueError, match="coordinate count"):
+            CoweightVector(self.g, (0,))
+        with pytest.raises(ValueError, match="coordinate count"):
+            AffinePoint(self.g, (0,))
+
+    def test_point_sets_keep_their_kind(self):
+        h = CoweightVector(self.g, (2, -2))
+        a = AffinePoint(self.g, (2, -2))
+        with pytest.raises(ValueError, match="AffinePoints"):
+            PointSet.of(self.g, [h], AffinePoint)
+        with pytest.raises(ValueError, match="CoweightVectors"):
+            PointSet.of(self.g, [a], CoweightVector)
+        assert h not in PointSet.of(self.g, [a], AffinePoint)
+        assert a not in PointSet.of(self.g, [h], CoweightVector)
+        assert plates.AffinePoint is AffinePoint
