@@ -32,11 +32,11 @@ from .setcomp import (
     GroundSet,
     Perm,
     _comps,
+    coarsening_runs,
     concatenate,
     hat_beta,
     ordered_decompositions,
     permute_lumps,
-    refines,
     relabel,
     restrict,
     sorted_labels,
@@ -61,18 +61,17 @@ class BimonoidInstance:
     ground set; enumerable instances return their full population when it
     fits the budget. mul takes two elements over disjoint grounds; comul
     takes an element and an ordered decomposition of its ground set; relabel
-    takes a bijection whose target is the element's ground set. zero_of
-    builds the absorbing element (pointed instances only).
+    takes a bijection whose target is the element's ground set. Every
+    element carries its ground set as `.ground`. zero_of builds the
+    absorbing element, and is set exactly for the pointed instances.
     """
 
     name: str
-    pointed: bool
     enumerable: bool
     elements: Callable
     mul: Callable
     comul: Callable
     relabel: Callable
-    ground_of: Callable
     zero_of: Optional[Callable] = None
     is_zero: Optional[Callable] = None
 
@@ -83,22 +82,17 @@ def lift_mul(inst, F: Composition, G: Composition, elems, rng=None):
 
     rng=None merges left to right; a generator picks random adjacent pairs.
     """
-    if not refines(G, F):
+    runs = coarsening_runs(F, G)
+    if runs is None:
         raise ValueError("G must be a coarsening of F")
     if len(elems) != F.length():
         raise ValueError("one element per lump of F required")
     for e, lump in zip(elems, F.lumps):
-        if inst.ground_of(e) != GroundSet.of(lump):
+        if e.ground != GroundSet.of(lump):
             raise ValueError("element over the wrong ground set")
     out = []
-    i = 0
-    for T in G.lumps:
-        need, acc = set(T), set()
-        group = []
-        while acc != need:
-            group.append(elems[i])
-            acc |= set(F.lumps[i])
-            i += 1
+    for run in runs:
+        group = [elems[i] for i in run]
         while len(group) > 1:
             k = 0 if rng is None else rng.randrange(len(group) - 1)
             group[k : k + 2] = [inst.mul(group[k], group[k + 1])]
@@ -122,22 +116,16 @@ def lift_comul(inst, F: Composition, G: Composition, elems, rng=None):
 
     rng=None peels leftmost lumps; a generator picks random cut points.
     """
-    if not refines(G, F):
+    runs = coarsening_runs(F, G)
+    if runs is None:
         raise ValueError("G must be a coarsening of F")
     if len(elems) != G.length():
         raise ValueError("one element per lump of G required")
     out = []
-    i = 0
-    for e, T in zip(elems, G.lumps):
-        if inst.ground_of(e) != GroundSet.of(T):
+    for e, T, run in zip(elems, G.lumps, runs):
+        if e.ground != GroundSet.of(T):
             raise ValueError("element over the wrong ground set")
-        lumps = []
-        acc: set = set()
-        while acc != set(T):
-            lumps.append(F.lumps[i])
-            acc |= set(F.lumps[i])
-            i += 1
-        out.extend(_split(inst, e, lumps, rng))
+        out.extend(_split(inst, e, [F.lumps[i] for i in run], rng))
     return tuple(out)
 
 
@@ -150,7 +138,7 @@ def tuples_equal(inst, xs, ys) -> bool:
     of an iterated comultiplication is a smash product, where every tuple
     with a zero coordinate is THE basepoint. Plain equality otherwise."""
     xs, ys = tuple(xs), tuple(ys)
-    if inst.pointed and inst.is_zero is not None:
+    if inst.is_zero is not None:
         zx = any(inst.is_zero(e) for e in xs)
         zy = any(inst.is_zero(e) for e in ys)
         if zx or zy:
@@ -159,11 +147,10 @@ def tuples_equal(inst, xs, ys) -> bool:
 
 
 def mul_naturality_holds(inst, sigma: Bijection, a, b) -> bool:
-    ga, gb = inst.ground_of(a), inst.ground_of(b)
     lhs = inst.relabel(sigma, inst.mul(a, b))
     rhs = inst.mul(
-        inst.relabel(sigma.restricted(ga.labels), a),
-        inst.relabel(sigma.restricted(gb.labels), b),
+        inst.relabel(sigma.restricted(a.ground.labels), a),
+        inst.relabel(sigma.restricted(b.ground.labels), b),
     )
     return lhs == rhs
 
@@ -206,7 +193,7 @@ def zero_absorption_holds(inst, y, S_zero) -> bool:
     """The distinguished zero over S_zero absorbs multiplication and splits
     into zeros."""
     gS = GroundSet.of(S_zero)
-    gy = inst.ground_of(y)
+    gy = y.ground
     zero = inst.zero_of(gS)
     prod = inst.mul(zero, y)
     union = GroundSet.of(gS.labels + gy.labels)
@@ -448,7 +435,7 @@ def check_all(
         ("merge-independence-mul", merge_independence_mul_holds, "F G elems", merge(False)),
         ("merge-independence-comul", merge_independence_comul_holds, "F G elems", merge(True)),
     ]
-    if inst.pointed:
+    if inst.zero_of is not None:
         rows.append(("zero-absorption", zero_absorption_holds, "y S", sampled(zero)))
     return [
         _report(law, ((pred(inst, *case), lambda case=case: _describe(names, case))
@@ -474,26 +461,22 @@ def _enumerable_elements(population_fn):
 def sigma_instance() -> BimonoidInstance:
     return BimonoidInstance(
         name="sigma",
-        pointed=False,
         enumerable=True,
         elements=_enumerable_elements(lambda g: _comps(g)),
         mul=concatenate,
         comul=lambda F, S, T: (restrict(F, S), restrict(F, T)),
         relabel=relabel,
-        ground_of=lambda F: F.ground,
     )
 
 
 def o_bullet_instance() -> BimonoidInstance:
     return BimonoidInstance(
         name="o-bullet",
-        pointed=True,
         enumerable=True,
         elements=_enumerable_elements(lambda g: enumerate_aug_preposets(g)),
         mul=o_mul,
         comul=o_comul,
         relabel=relabel_preposet,
-        ground_of=lambda p: p.ground,
         zero_of=Bottom,
         is_zero=is_bottom,
     )
@@ -511,13 +494,11 @@ def bf_instance() -> BimonoidInstance:
 
     return BimonoidInstance(
         name="bf",
-        pointed=False,
         enumerable=False,
         elements=elements,
         mul=bf_mul,
         comul=bf_comul,
         relabel=relabel_bf,
-        ground_of=lambda z: z.ground,
     )
 
 
@@ -536,13 +517,11 @@ def points_instance() -> BimonoidInstance:
 
     return BimonoidInstance(
         name="points",
-        pointed=False,
         enumerable=False,
         elements=elements,
         mul=point_mul,
         comul=point_comul,
         relabel=point_relabel,
-        ground_of=lambda x: x.ground,
     )
 
 

@@ -10,7 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .setcomp import Bijection, Composition, GroundSet, _split_blocks
+from .setcomp import (
+    Bijection,
+    Composition,
+    GroundSet,
+    _mask_sum,
+    _split_blocks,
+    gather_bits,
+    scatter_bits,
+)
 
 _SIZE_CAP = 12
 
@@ -31,28 +39,15 @@ class BooleanFunction:
 
     @staticmethod
     def from_callable(ground: GroundSet, fn: Callable[[frozenset], int]) -> "BooleanFunction":
-        n = len(ground)
-        vals = []
-        for m in range(1 << n):
-            A = frozenset(x for k, x in enumerate(ground.labels) if m >> k & 1)
-            vals.append(int(fn(A)))
+        vals = (int(fn(frozenset(ground.subset(m)))) for m in range(1 << len(ground)))
         return BooleanFunction(ground, tuple(vals))
 
     @staticmethod
     def zero(ground: GroundSet) -> "BooleanFunction":
         return BooleanFunction(ground, (0,) * (1 << len(ground)))
 
-    def mask_of(self, A: Iterable) -> int:
-        m = 0
-        for x in A:
-            m |= 1 << self.ground.index(x)
-        return m
-
     def value(self, A: Iterable) -> int:
-        return self.values[self.mask_of(A)]
-
-    def subset_of_mask(self, m: int) -> tuple:
-        return tuple(x for k, x in enumerate(self.ground.labels) if m >> k & 1)
+        return self.values[self.ground.mask(A)]
 
 
 def hei(z: BooleanFunction) -> int:
@@ -65,11 +60,10 @@ def bf_mul(z1: BooleanFunction, z2: BooleanFunction) -> BooleanFunction:
     ground = z1.ground.union(z2.ground)  # raises on overlap
     pos1 = ground.positions(z1.ground.labels)
     pos2 = ground.positions(z2.ground.labels)
-    vals = []
-    for m in range(1 << len(ground)):
-        m1 = sum(1 << k for k, p in enumerate(pos1) if m >> p & 1)
-        m2 = sum(1 << k for k, p in enumerate(pos2) if m >> p & 1)
-        vals.append(z1.values[m1] + z2.values[m2])
+    vals = (
+        z1.values[gather_bits(m, pos1)] + z2.values[gather_bits(m, pos2)]
+        for m in range(1 << len(ground))
+    )
     return BooleanFunction(ground, tuple(vals))
 
 
@@ -82,19 +76,16 @@ def bf_comul(
     A ↦ z(A ⊔ S) − z(S).
     """
     S, T = _split_blocks(z.ground, S, T)
-    gS, gT = GroundSet.of(S), GroundSet.of(T)
-    maskS = z.mask_of(S)
-    posS = z.ground.positions(S)
-    posT = z.ground.positions(T)
-    valsS = []
-    for m in range(1 << len(S)):
-        mm = sum(1 << p for k, p in enumerate(posS) if m >> k & 1)
-        valsS.append(z.values[mm])
-    valsT = []
-    for m in range(1 << len(T)):
-        mm = sum(1 << p for k, p in enumerate(posT) if m >> k & 1)
-        valsT.append(z.values[mm | maskS] - z.values[maskS])
-    return BooleanFunction(gS, tuple(valsS)), BooleanFunction(gT, tuple(valsT))
+    maskS = z.ground.mask(S)
+    halves = []
+    for blk, base in ((S, 0), (T, maskS)):
+        pos = z.ground.positions(blk)
+        vals = (
+            z.values[scatter_bits(m, pos) | base] - z.values[base]
+            for m in range(1 << len(blk))
+        )
+        halves.append(BooleanFunction(GroundSet(blk), tuple(vals)))
+    return halves[0], halves[1]
 
 
 def bf_comul_along(z: BooleanFunction, F: Composition) -> tuple[BooleanFunction, ...]:
@@ -126,9 +117,7 @@ def z_of_point(ground: GroundSet, h) -> BooleanFunction:
         vec = list(h)
         if len(vec) != len(ground):
             raise ValueError("vector length does not match the ground set")
-    vals = []
-    for m in range(1 << len(ground)):
-        vals.append(sum(v for k, v in enumerate(vec) if m >> k & 1))
+    vals = (_mask_sum(vec, m) for m in range(1 << len(ground)))
     return BooleanFunction(ground, tuple(vals))
 
 
@@ -164,9 +153,6 @@ def relabel_bf(sigma: Bijection, z: BooleanFunction) -> BooleanFunction:
     """Pull back along a bijection: the value at A is the value at sigma(A)."""
     if sigma.target != z.ground:
         raise ValueError("bijection target does not match the ground set")
-    ground = sigma.source
-
-    def fn(A: frozenset) -> int:
-        return z.value([sigma(x) for x in A])
-
-    return BooleanFunction.from_callable(ground, fn)
+    pos = z.ground.positions(b for _, b in sigma.pairs)
+    vals = (z.values[scatter_bits(m, pos)] for m in range(1 << len(pos)))
+    return BooleanFunction(sigma.source, tuple(vals))

@@ -28,9 +28,8 @@ from .preposet import (
     restrict_preposet,
     split_admissible,
     upward_masks,
-    upward_pairs,
 )
-from .setcomp import GroundSet, _split_blocks
+from .setcomp import GroundSet, _mask_sum, _split_blocks
 
 
 @dataclass(frozen=True)
@@ -215,19 +214,21 @@ def coroot(i1, i2, ground: GroundSet) -> CoweightVector:
 
 def pairing(h, S: Iterable) -> int | Fraction:
     """Sum of the coordinates of h over the subset S."""
-    S = set(S)
-    if not S <= set(h.ground.labels):
-        raise ValueError("S is not a subset of the ground set")
-    return sum(h.coords[k] for k in h.ground.positions(S))
+    try:
+        m = h.ground.mask(S)
+    except ValueError:
+        raise ValueError("S is not a subset of the ground set") from None
+    return _mask_sum(h.coords, m)
 
 
 def cone_contains(p: AugPreposet, h) -> bool:
-    """Halfspace membership test. The bottom cone contains nothing."""
+    """Halfspace membership test, on the rows of the cone's windows. The
+    bottom cone contains nothing."""
     if is_bottom(p):
         return False
     if p.ground != h.ground:
         raise ValueError("ground sets differ")
-    return all(pairing(h, S) <= 0 for S, _ in upward_pairs(p))
+    return all(_mask_sum(h.coords, S) <= 0 for S in upward_masks(p))
 
 
 def cone_generators(p: Preposet) -> tuple[CoweightVector, ...]:

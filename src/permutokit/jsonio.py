@@ -6,7 +6,8 @@ Conventions:
   - ground sets are sorted arrays; compositions are arrays of arrays
   - mapping keys are str(label); keys that parse as int decode to int labels
     (a string label that itself looks like an int is therefore not
-    round-trippable and is out of scope)
+    round-trippable and is out of scope); two keys that decode to one label
+    ("1" and "01"), or to one subset ("1,2" and "2,1"), are rejected
   - exact rationals travel as strings "p/q" (or "p" when integral)
   - labels are JSON integers or strings; integer-valued fields (coordinates,
     subset-function values, permutation images) accept JSON integers only,
@@ -48,6 +49,18 @@ def parse_label(key: str):
         return int(key)
     except (TypeError, ValueError):
         return key
+
+
+def _decode_label_keys(obj: dict, what: str) -> dict:
+    """An object keyed by str(label), keyed by label; ValueError naming the
+    label when two keys parse to it ("1" and "01")."""
+    out = {}
+    for key, v in obj.items():
+        x = parse_label(key)
+        if x in out:
+            raise ValueError(f"{what} names label {x!r} twice")
+        out[x] = v
+    return out
 
 
 def _shown(v) -> str:
@@ -126,7 +139,8 @@ def encode_bijection(sigma: Bijection) -> dict:
 def decode_bijection(obj) -> Bijection:
     if not isinstance(obj, dict):
         raise ValueError("a bijection must be an object mapping labels to labels")
-    return Bijection.of({parse_label(k): decode_label(v) for k, v in obj.items()})
+    pairs = _decode_label_keys(obj, "a bijection")
+    return Bijection.of({x: decode_label(v) for x, v in pairs.items()})
 
 
 def encode_perm(beta: Perm) -> list:
@@ -187,7 +201,7 @@ encode_affine_point = encode_coweight
 def _decode_int_point(kind: type, obj) -> AffinePoint:
     if not isinstance(obj, dict) or not isinstance(obj.get("coords"), dict):
         raise ValueError("expected an object with a 'coords' mapping")
-    coords = {parse_label(k): v for k, v in obj["coords"].items()}
+    coords = _decode_label_keys(obj["coords"], "a point's 'coords'")
     coords = {x: decode_int(v, f"coordinate {x!r}") for x, v in coords.items()}
     return kind.of(GroundSet.of(coords), coords)
 
@@ -210,15 +224,9 @@ def encode_point_set(pts: PointSet) -> list:
 # subset functions and plates
 
 
-def _subset_key(z: BooleanFunction, mask: int) -> str:
-    return ",".join(str(x) for x in z.subset_of_mask(mask))
-
-
 def encode_bf(z: BooleanFunction) -> dict:
-    return {
-        "ground": encode_ground(z.ground),
-        "values": {_subset_key(z, m): z.values[m] for m in range(len(z.values))},
-    }
+    keys = (",".join(map(str, z.ground.subset(m))) for m in range(len(z.values)))
+    return {"ground": encode_ground(z.ground), "values": dict(zip(keys, z.values))}
 
 
 def decode_bf(obj) -> BooleanFunction:
@@ -226,13 +234,16 @@ def decode_bf(obj) -> BooleanFunction:
         raise ValueError("a subset function must carry 'ground' and 'values'")
     ground = decode_ground(obj["ground"])
     n = len(ground)
-    table = {}
+    table, keys = {}, {}
     for key, v in obj["values"].items():
-        labels = tuple(parse_label(part) for part in key.split(",")) if key else ()
+        labels = [parse_label(part) for part in key.split(",")] if key else []
         _require_within(labels, ground, f"subset {key!r}")
-        mask = 0
-        for x in labels:
-            mask |= 1 << ground.index(x)
+        mask = ground.mask(labels)
+        if mask.bit_count() != len(labels):
+            raise ValueError(f"subset {key!r} repeats a label")
+        if mask in keys:
+            raise ValueError(f"subsets {keys[mask]!r} and {key!r} are the same subset")
+        keys[mask] = key
         table[mask] = decode_int(v, f"the value of subset {key!r}")
     missing = [m for m in range(1 << n) if m not in table]
     if missing:
@@ -293,7 +304,8 @@ def decode_point(obj) -> PermPoint:
     orbit = decode_composition(obj["orbit"])
     if not isinstance(obj["coords"], dict):
         raise ValueError("a point's 'coords' must be an object")
-    coords = {parse_label(k): decode_rational(v) for k, v in obj["coords"].items()}
+    coords = _decode_label_keys(obj["coords"], "a point's 'coords'")
+    coords = {x: decode_rational(v) for x, v in coords.items()}
     _require_within(coords, orbit.ground, "a coordinate")
     for x in orbit.ground:
         if x not in coords:

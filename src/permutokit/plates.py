@@ -13,7 +13,7 @@ import numpy as np
 from . import _kernels
 from .boolfun import BooleanFunction, hei
 from .cones import AffinePoint, PointSet, juxtaposed, pairing, restricted
-from .setcomp import EMPTY_GROUND, Composition, GroundSet, refines, sorted_labels
+from .setcomp import EMPTY_GROUND, Composition, GroundSet, _mask_sum, refines, sorted_labels
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def plate_contains(P: Plate, h: AffinePoint) -> bool:
         raise ValueError("ground sets differ")
     if h.total() != hei(P.z):
         return False
-    return all(pairing(h, seg) <= P.z.value(seg) for seg in initial_segments(P.H))
+    return all(_mask_sum(h.coords, m) <= P.z.values[m] for m in _prefix_masks(P.H)[:-1])
 
 
 def _prefix_masks(F: Composition) -> list[int]:

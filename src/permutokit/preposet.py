@@ -21,7 +21,8 @@ from .setcomp import (
     GroundSet,
     _split_blocks,
     _split_masks,
-    sorted_labels,
+    gather_bits,
+    scatter_bits,
 )
 
 
@@ -120,13 +121,30 @@ def preposet_leq(q: AugPreposet, p: AugPreposet) -> bool:
     return p.mask & ~q.mask == 0
 
 
+def _rows(p: Preposet) -> list[int]:
+    """Row i is the bitmask of the labels that labels[i] is related to."""
+    n = len(p.ground)
+    return [p.mask >> i * n & (1 << n) - 1 for i in range(n)]
+
+
+def _from_rows(ground: GroundSet, rows: Iterable[int]) -> Preposet:
+    n = len(ground)
+    return Preposet(ground, sum(r << i * n for i, r in enumerate(rows)))
+
+
+def _induced(p: Preposet, ground: GroundSet, pos: list[int]) -> Preposet:
+    """The relation of p read on ground, whose k-th label stands for the
+    label of p at position pos[k]: one gather of the rows at pos."""
+    rows = _rows(p)
+    return _from_rows(ground, (gather_bits(rows[i], pos) for i in pos))
+
+
 def restrict_preposet(p: Preposet, S: Iterable) -> Preposet:
     S = set(S)
     if not S <= set(p.ground.labels):
         raise ValueError("S is not a subset of the ground set")
-    return Preposet.from_pairs(
-        GroundSet.of(S), [(a, b) for a, b in p.pairs if a in S and b in S]
-    )
+    ground = GroundSet.of(S)
+    return _induced(p, ground, p.ground.positions(ground.labels))
 
 
 def o_mul(p: AugPreposet, q: AugPreposet) -> AugPreposet:
@@ -134,13 +152,12 @@ def o_mul(p: AugPreposet, q: AugPreposet) -> AugPreposet:
     ground = p.ground.union(q.ground)  # raises on overlap
     if is_bottom(p) or is_bottom(q):
         return Bottom(ground)
-    return Preposet.from_pairs(ground, list(p.pairs) + list(q.pairs))
-
-
-def _rows(p: Preposet) -> list[int]:
-    """Row i is the bitmask of the labels that labels[i] is related to."""
-    n = len(p.ground)
-    return [p.mask >> i * n & (1 << n) - 1 for i in range(n)]
+    rows = [0] * len(ground)
+    for part in (p, q):
+        pos = ground.positions(part.ground.labels)
+        for i, r in zip(pos, _rows(part)):
+            rows[i] = scatter_bits(r, pos)
+    return _from_rows(ground, rows)
 
 
 def _closed_upward(rows: list[int], S: int) -> bool:
@@ -170,38 +187,28 @@ def o_comul(
 def total_of_composition(F: Composition) -> Preposet:
     """The total preposet of a composition: (a,b) related iff the lump of a
     comes no later than the lump of b. Same-lump pairs get both directions."""
-    idx = {}
-    for k, lump in enumerate(F.lumps, start=1):
-        for x in lump:
-            idx[x] = k
-    pairs = [
-        (a, b)
-        for a in F.ground.labels
-        for b in F.ground.labels
-        if a != b and idx[a] <= idx[b]
-    ]
-    return Preposet.from_pairs(F.ground, pairs)
+    rows = [0] * len(F.ground)
+    later = 0  # the labels of this lump and every later one
+    for lump in reversed(F.lumps):
+        later |= F.ground.mask(lump)
+        for i in F.ground.positions(lump):
+            rows[i] = later & ~(1 << i)
+    return _from_rows(F.ground, rows)
 
 
 def is_total(p: Preposet) -> bool:
-    for a in p.ground.labels:
-        for b in p.ground.labels:
-            if a != b and not p.has(a, b) and not p.has(b, a):
-                return False
-    return True
+    rows = _rows(p)
+    return all((r >> j | rows[j] >> i) & 1 for i, r in enumerate(rows) for j in range(i))
 
 
 def composition_of_total(p: Preposet) -> Composition:
     """Inverse of total_of_composition on total preposets."""
     if not is_total(p):
         raise ValueError("preposet is not total")
-    labels = p.ground.labels
-    # elements in earlier lumps dominate strictly more elements
-    strict = {a: sum(1 for b in labels if a != b and p.has(a, b) and not p.has(b, a))
-              for a in labels}
-    lumps: list[tuple] = []
-    for s in sorted(set(strict.values()), reverse=True):
-        lumps.append(sorted_labels(a for a in labels if strict[a] == s))
+    # the masks of the labels in or after each label's lump: a chain of
+    # subsets, so decreasing as integers, and consecutive ones differ by a lump
+    tails = sorted({r | 1 << i for i, r in enumerate(_rows(p))}, reverse=True)
+    lumps = (p.ground.subset(a & ~b) for a, b in zip(tails, tails[1:] + [0]))
     return Composition(p.ground, tuple(lumps))
 
 
@@ -217,13 +224,9 @@ def upward_masks(p: Preposet) -> tuple[int, ...]:
 def upward_pairs(p: Preposet) -> tuple[tuple[tuple, tuple], ...]:
     """All proper two-block decompositions (S,T) with (S,T) <= p, as label
     tuples in the order of upward_masks."""
-    labels = p.ground.labels
-    full = (1 << len(labels)) - 1
-
-    def block(m: int) -> tuple:
-        return tuple(x for k, x in enumerate(labels) if m >> k & 1)
-
-    return tuple((block(S), block(full ^ S)) for S in upward_masks(p))
+    subset = p.ground.subset
+    full = (1 << len(p.ground)) - 1
+    return tuple((subset(S), subset(full ^ S)) for S in upward_masks(p))
 
 
 def relabel_preposet(sigma: Bijection, p: AugPreposet) -> AugPreposet:
@@ -232,10 +235,7 @@ def relabel_preposet(sigma: Bijection, p: AugPreposet) -> AugPreposet:
         raise ValueError("bijection target does not match the ground set")
     if is_bottom(p):
         return Bottom(sigma.source)
-    inv = sigma.inverse()
-    return Preposet.from_pairs(
-        sigma.source, [(inv(a), inv(b)) for a, b in p.pairs]
-    )
+    return _induced(p, sigma.source, p.ground.positions(b for _, b in sigma.pairs))
 
 
 _ENUM_CAP = 5

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Optional
 
 Label = Any
 
@@ -25,30 +25,39 @@ def sorted_labels(labels: Iterable[Label]) -> tuple:
     return tuple(sorted(labels, key=label_key))
 
 
+def gather_bits(m: int, pos) -> int:
+    """Bit k of the result is bit pos[k] of m: a subset of a ground set read
+    on the sub-ground whose k-th label sits at position pos[k]."""
+    return sum(1 << k for k, p in enumerate(pos) if m >> p & 1)
+
+
+def scatter_bits(m: int, pos) -> int:
+    """Bit pos[k] of the result is bit k of m: the inverse of gather_bits."""
+    return sum(1 << p for k, p in enumerate(pos) if m >> k & 1)
+
+
+def _mask_sum(coords, m: int):
+    """Sum of the coordinates at the set bits of m."""
+    return sum(c for k, c in enumerate(coords) if m >> k & 1)
+
+
 def _split_blocks(ground: GroundSet, S: Iterable[Label], T: Iterable[Label]) -> tuple:
     """S and T in canonical order; ValueError unless they decompose the
     ground (no label foreign or repeated)."""
-    labels = ground.labels
-    return tuple(
-        tuple(x for k, x in enumerate(labels) if m >> k & 1)
-        for m in _split_masks(ground, S, T)
-    )
+    return tuple(map(ground.subset, _split_masks(ground, S, T)))
 
 
 def _split_masks(ground: GroundSet, S: Iterable[Label], T: Iterable[Label]) -> tuple:
     """Bitmasks of S and T over the ground's canonical order; ValueError
     unless they decompose the ground."""
-    labels = ground.labels
-    masks = [0, 0]
-    for k, blk in enumerate((S, T)):
-        for x in blk:
-            bit = 1 << labels.index(x) if x in labels else 0
-            if not bit or (masks[0] | masks[1]) & bit:
-                raise ValueError("S,T do not decompose the ground set")
-            masks[k] |= bit
-    if masks[0] | masks[1] != (1 << len(labels)) - 1:
+    S, T = tuple(S), tuple(T)
+    try:
+        masks = ground.mask(S), ground.mask(T)
+    except ValueError:  # a foreign label: nothing is covered
+        masks = 0, 0
+    if len(S) + len(T) != len(ground) or masks[0] | masks[1] != (1 << len(ground)) - 1:
         raise ValueError("S,T do not decompose the ground set")
-    return masks[0], masks[1]
+    return masks
 
 
 @dataclass(frozen=True)
@@ -85,13 +94,25 @@ class GroundSet:
         goes through. ValueError on a label outside the ground set."""
         return list(map(self.labels.index, labels))
 
+    def mask(self, labels: Iterable[Label]) -> int:
+        """The bitmask of a subset: bit k stands for labels[k]. ValueError
+        on a label outside the ground set."""
+        m = 0
+        for x in labels:
+            try:
+                m |= 1 << self.labels.index(x)
+            except ValueError:
+                raise ValueError(f"label {x!r} is not in the ground set") from None
+        return m
+
+    def subset(self, mask: int) -> tuple:
+        """The labels whose bits are set in mask, in canonical order."""
+        return tuple(x for k, x in enumerate(self.labels) if mask >> k & 1)
+
     def union(self, other: "GroundSet") -> "GroundSet":
         if set(self.labels) & set(other.labels):
             raise ValueError("ground sets overlap")
         return GroundSet.of(self.labels + other.labels)
-
-    def issubset(self, other: "GroundSet") -> bool:
-        return set(self.labels) <= set(other.labels)
 
 
 EMPTY_GROUND = GroundSet(())
@@ -270,22 +291,25 @@ def tits_product(F: Composition, G: Composition) -> Composition:
     return Composition(F.ground, tuple(lumps))
 
 
+def coarsening_runs(F: Composition, G: Composition) -> Optional[list[range]]:
+    """The run of F-lump indices (0-based) whose union is each lump of G, in
+    order, when G is obtained from F by merging contiguous lumps; else None."""
+    _check_same_ground(F, G)
+    runs, i = [], 0
+    for lump in G.lumps:
+        start, acc = i, set()
+        while len(acc) < len(lump) and i < len(F.lumps):
+            acc.update(F.lumps[i])
+            i += 1
+        if acc != set(lump):
+            return None
+        runs.append(range(start, i))
+    return runs
+
+
 def refines(G: Composition, F: Composition) -> bool:
     """True iff G <= F, i.e. G is obtained from F by merging contiguous lumps."""
-    _check_same_ground(G, F)
-    fi = 0
-    for lump in G.lumps:
-        need = set(lump)
-        acc: set = set()
-        while acc != need:
-            if fi >= len(F.lumps):
-                return False
-            nxt = set(F.lumps[fi])
-            if not nxt <= need - acc:
-                return False
-            acc |= nxt
-            fi += 1
-    return fi == len(F.lumps)
+    return coarsening_runs(F, G) is not None
 
 
 def relabel(sigma: Bijection, F: Composition) -> Composition:
@@ -310,27 +334,20 @@ def permute_lumps(beta: Perm, F: Composition) -> Composition:
 
 
 def hat_beta(beta: Perm, F: Composition, G: Composition) -> Perm:
-    """Solve for the unique lift of beta along a refinement G <= F.
+    """The unique lift of beta along a refinement G <= F.
 
     Returns the permutation of F's lumps whose action on F equals the Tits
-    product (beta acting on G) * F. Found by exhaustive search; lengths in
-    scope are tiny.
+    product (beta acting on G) * F: the runs of F-lumps under the lumps of G
+    keep their inner order and are laid out in the order beta gives G, and
+    the lift sends each F-lump to its place in that layout.
     """
-    _check_same_ground(F, G)
-    if not refines(G, F):
+    runs = coarsening_runs(F, G)
+    if runs is None:
         raise ValueError("G does not refine-below F")
     if beta.degree != G.length():
         raise ValueError("degree does not match G")
-    target = tits_product(permute_lumps(beta, G), F)
-    k = F.length()
-    hits = [
-        Perm(images)
-        for images in itertools.permutations(range(1, k + 1))
-        if permute_lumps(Perm(images), F) == target
-    ]
-    if len(hits) != 1:
-        raise AssertionError(f"lift not unique: {hits!r}")
-    return hits[0]
+    layout = tuple(i + 1 for m in beta.inverse().images for i in runs[m - 1])
+    return Perm(layout).inverse()
 
 
 def all_compositions(ground: GroundSet) -> Iterator[Composition]:
@@ -363,14 +380,10 @@ def two_block_decompositions(
     ground: GroundSet, include_empty: bool = True
 ) -> Iterator[tuple[tuple, tuple]]:
     """Ordered decompositions I = S ⊔ T, optionally with empty blocks."""
-    labels = ground.labels
-    n = len(labels)
-    for bits in range(1 << n):
-        S = tuple(x for k, x in enumerate(labels) if bits >> k & 1)
-        T = tuple(x for k, x in enumerate(labels) if not bits >> k & 1)
-        if not include_empty and (not S or not T):
-            continue
-        yield S, T
+    full = (1 << len(ground)) - 1
+    for bits in range(full + 1):
+        if include_empty or 0 < bits < full:
+            yield ground.subset(bits), ground.subset(full ^ bits)
 
 
 def ordered_decompositions(

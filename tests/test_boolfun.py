@@ -4,6 +4,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutokit.boolfun import (
     BooleanFunction,
@@ -290,3 +292,58 @@ class TestBimonoidIdentities:
             z1 = _random_bf(rng, [1, 3])
             z2 = _random_bf(rng, [2])
             assert bf_comul(bf_mul(z1, z2), [1, 3], [2]) == (z1, z2)
+
+
+# ---------------------------------------------------------------------------
+# gathers and scatters of subset masks: differential checks against label
+# definitions built with from_callable, copied in as oracles
+
+
+def label_bf_mul(z1, z2):
+    g1, g2 = set(z1.ground.labels), set(z2.ground.labels)
+    return BooleanFunction.from_callable(
+        z1.ground.union(z2.ground), lambda A: z1.value(A & g1) + z2.value(A & g2)
+    )
+
+
+def label_bf_comul(z, S, T):
+    return (
+        BooleanFunction.from_callable(GroundSet.of(S), z.value),
+        BooleanFunction.from_callable(
+            GroundSet.of(T), lambda A: z.value(A | set(S)) - z.value(S)
+        ),
+    )
+
+
+def label_relabel_bf(sigma, z):
+    return BooleanFunction.from_callable(sigma.source, lambda A: z.value(sigma(x) for x in A))
+
+
+def _table(draw, labels):
+    size = 1 << len(labels)
+    vals = draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size))
+    return BooleanFunction(GroundSet.of(labels), (0,) + tuple(vals[1:]))
+
+
+@st.composite
+def split_tables(draw):
+    """A ground from mixed labels, an ordered split (S, T) in drawn order, a
+    table on each block and on the ground, and a bijection onto the ground
+    from primed labels."""
+    labels = draw(st.lists(st.sampled_from([1, 2, 3, "a", "b"]), unique=True, max_size=5))
+    in_S = draw(st.lists(st.booleans(), min_size=len(labels), max_size=len(labels)))
+    S = [x for x, b in zip(labels, in_S) if b]
+    T = [x for x, b in zip(labels, in_S) if not b]
+    images = draw(st.permutations(labels))
+    sigma = Bijection.of({f"{x}'": y for x, y in zip(labels, images)})
+    return S, T, _table(draw, S), _table(draw, T), _table(draw, labels), sigma
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(split_tables())
+def test_mask_ops_match_the_label_definitions(case):
+    S, T, z1, z2, z, sigma = case
+    assert bf_mul(z1, z2) == label_bf_mul(z1, z2)
+    assert bf_mul(z2, z1) == label_bf_mul(z2, z1)
+    assert bf_comul(z, S, T) == label_bf_comul(z, S, T)
+    assert relabel_bf(sigma, z) == label_relabel_bf(sigma, z)

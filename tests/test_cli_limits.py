@@ -207,6 +207,50 @@ def test_label_outside_the_ground_is_named(monkeypatch, capsys, case):
     assert "label 3" in err
 
 
+# Two object keys that decode to one label ("1" and "01"), or to one subset
+# ("1,2" and "2,1", or a key naming a label twice), are rejected instead of
+# the last one silently winning.
+DUPLICATE_KEYS = {
+    "cone-contains-coords": (
+        ["cone", "contains"],
+        {"p": {"ground": [1, 2], "rel": []}, "h": {"coords": {"1": 7, "01": 0, "2": 0}}},
+        "label 1 twice",
+    ),
+    "comp-relabel-sigma": (
+        ["comp", "relabel"],
+        {"sigma": {"01": 2, "1": 1, "2": 2}, "F": [[1], [2]]},
+        "label 1 twice",
+    ),
+    "point-relabel-coords": (
+        ["point", "relabel"],
+        {
+            "sigma": {"1": 1, "2": 2},
+            "x": {"orbit": [[1, 2]], "coords": {"1": "1", "2": "3", " 2": "5"}},
+        },
+        "label 2 twice",
+    ),
+    "bf-is-gp-reordered-subset": (
+        ["bf", "is-gp"],
+        {"z": {"ground": [1, 2], "values": {"": 0, "1": 5, "2": 1, "1,2": 3, "2,1": 9}}},
+        "'1,2' and '2,1'",
+    ),
+    "bf-is-gp-repeated-label": (
+        ["bf", "is-gp"],
+        {"z": {"ground": [1, 2], "values": {"": 0, "1": 5, "2": 1, "1,2": 3, "1,1": 0}}},
+        "'1,1' repeats",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, payload, named", DUPLICATE_KEYS.values(), ids=DUPLICATE_KEYS.keys()
+)
+def test_keys_that_decode_alike_exit_two(monkeypatch, capsys, argv, payload, named):
+    code, out, err = run_cli(monkeypatch, capsys, argv, payload)
+    assert_one_line_error(code, out, err)
+    assert named in err
+
+
 # Numbers where integers are required are rejected, not truncated or coerced
 # (1.5 -> 1, "7" -> 7, true -> 1).
 NON_INTEGERS = {

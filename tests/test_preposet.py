@@ -1,5 +1,7 @@
 """Preposets stored as transitive pair relations, the augmented family with
 its absorbing bottom, and the product/coproduct pair."""
+import itertools
+
 import pytest
 
 from permutokit import preposet
@@ -21,7 +23,7 @@ from permutokit.preposet import (
     upward_masks,
     upward_pairs,
 )
-from permutokit.setcomp import Bijection, Composition, GroundSet
+from permutokit.setcomp import Bijection, Composition, GroundSet, all_compositions
 
 
 def pre(ground, *pairs):
@@ -283,3 +285,106 @@ class TestMaskSplits:
 
         monkeypatch.setattr(preposet, "_closed_upward", reversed_direction)
         assert split_mismatches(upward_masks.__wrapped__, split_admissible)
+
+
+# ---------------------------------------------------------------------------
+# row gathers and scatters: differential checks against the pair-relation
+# definitions, copied in as oracles
+
+
+def pairs_restrict(p, S):
+    S = set(S)
+    return Preposet.from_pairs(
+        GroundSet.of(S), [(a, b) for a, b in p.pairs if a in S and b in S]
+    )
+
+
+def pairs_o_mul(p, q):
+    ground = p.ground.union(q.ground)
+    if is_bottom(p) or is_bottom(q):
+        return Bottom(ground)
+    return Preposet.from_pairs(ground, list(p.pairs) + list(q.pairs))
+
+
+def pairs_relabel(sigma, p):
+    if is_bottom(p):
+        return Bottom(sigma.source)
+    inv = sigma.inverse()
+    return Preposet.from_pairs(sigma.source, [(inv(a), inv(b)) for a, b in p.pairs])
+
+
+def pairs_total(F):
+    idx = {x: k for k, lump in enumerate(F.lumps) for x in lump}
+    labels = F.ground.labels
+    return Preposet.from_pairs(
+        F.ground, [(a, b) for a in labels for b in labels if a != b and idx[a] <= idx[b]]
+    )
+
+
+def pairs_is_total(p):
+    labels = p.ground.labels
+    return all(p.has(a, b) or p.has(b, a) for a in labels for b in labels if a != b)
+
+
+def pairs_composition_of_total(p):
+    labels = p.ground.labels
+    strict = {a: sum(1 for b in labels if a != b and p.has(a, b) and not p.has(b, a))
+              for a in labels}
+    return Composition(p.ground, tuple(
+        tuple(a for a in labels if strict[a] == s)
+        for s in sorted(set(strict.values()), reverse=True)
+    ))
+
+
+def row_mismatches():
+    """Every case over SPLIT_GROUNDS on which restrict_preposet, o_mul,
+    relabel_preposet, total_of_composition, is_total or composition_of_total
+    disagrees with its pair-relation oracle (an exception counts as a
+    disagreement)."""
+    bad = []
+
+    def check(name, fn, want, *args):
+        try:
+            ok = fn(*args) == want
+        except Exception:
+            ok = False
+        if not ok:
+            bad.append((name, args))
+
+    for ground in SPLIT_GROUNDS:
+        labels = ground.labels
+        subsets = [
+            tuple(x for k, x in enumerate(labels) if m >> k & 1)
+            for m in range(1 << len(labels))
+        ]
+        source = GroundSet.of(f"{x}'" for x in labels)
+        sigmas = [
+            Bijection.of(dict(zip(source.labels, images)))
+            for images in itertools.permutations(labels)
+        ]
+        for p in enumerate_preposets(ground):
+            check("is_total", is_total, pairs_is_total(p), p)
+            if pairs_is_total(p):
+                check("comp_of_total", composition_of_total, pairs_composition_of_total(p), p)
+            for S in subsets:
+                check("restrict", restrict_preposet, pairs_restrict(p, S), p, S)
+            for sigma in sigmas:
+                check("relabel", relabel_preposet, pairs_relabel(sigma, p), sigma, p)
+        for F in all_compositions(ground):
+            check("total", total_of_composition, pairs_total(F), F)
+        for S in subsets:
+            T = tuple(x for x in labels if x not in S)
+            for p in enumerate_aug_preposets(GroundSet.of(S)):
+                for q in enumerate_aug_preposets(GroundSet.of(T)):
+                    check("o_mul", o_mul, pairs_o_mul(p, q), p, q)
+    return bad
+
+
+class TestRowOps:
+    def test_row_ops_match_the_pair_definitions(self):
+        assert row_mismatches() == []
+
+    def test_oracle_catches_scatter_in_place_of_gather(self, monkeypatch):
+        monkeypatch.setattr(preposet, "gather_bits", preposet.scatter_bits)
+        names = {name for name, _ in row_mismatches()}
+        assert {"restrict", "relabel"} <= names

@@ -1,7 +1,10 @@
 """Compositions of a finite set: canonical forms, the two products,
 restriction, refinement, relabeling, and lump permutation."""
+import itertools
+
 import pytest
 
+from permutokit import setcomp
 from permutokit.setcomp import (
     Bijection,
     Composition,
@@ -44,6 +47,34 @@ class TestGroundSet:
     def test_union_overlap_rejected(self):
         with pytest.raises(ValueError):
             GroundSet.of([1, 2]).union(GroundSet.of([2, 3]))
+
+
+class TestSubsetCodec:
+    GROUND = GroundSet.of([2, "b", 1, "a"])
+
+    def test_mask_and_subset_are_inverse(self):
+        g = self.GROUND
+        for m in range(1 << len(g)):
+            assert g.mask(g.subset(m)) == m
+        assert g.subset(g.mask(["a", 1])) == (1, "a")
+        assert g.mask([]) == 0 and g.subset(0) == ()
+
+    def test_bit_k_stands_for_the_kth_label(self):
+        assert self.GROUND.mask(["b"]) == 0b1000
+        assert self.GROUND.subset(0b0101) == (1, "a")
+
+    def test_foreign_label_is_named(self):
+        with pytest.raises(ValueError, match="label 3"):
+            self.GROUND.mask([1, 3])
+
+    def test_scatter_inverts_gather(self):
+        pos = [3, 0, 2]
+        for m in range(1 << 3):
+            assert setcomp.gather_bits(setcomp.scatter_bits(m, pos), pos) == m
+        for m in range(1 << 4):
+            assert setcomp.scatter_bits(setcomp.gather_bits(m, pos), pos) == m & 0b1101
+        assert setcomp.gather_bits(0b1000, pos) == 0b001
+        assert setcomp.scatter_bits(0b001, pos) == 0b1000
 
 
 class TestComposition:
@@ -260,3 +291,70 @@ class TestEnumeration:
         ground = GroundSet.of([1, 2])
         for blocks in ordered_decompositions(ground, 3):
             assert sum(len(b) for b in blocks) == 2
+
+
+# ---------------------------------------------------------------------------
+# one coarsening walk: differential checks against the set walk and the
+# permutation search it replaced, copied in as oracles
+
+
+def set_walk_refines(G, F):
+    fi = 0
+    for lump in G.lumps:
+        need, acc = set(lump), set()
+        while acc != need:
+            if fi >= len(F.lumps):
+                return False
+            nxt = set(F.lumps[fi])
+            if not nxt <= need - acc:
+                return False
+            acc |= nxt
+            fi += 1
+    return fi == len(F.lumps)
+
+
+def searched_hat_beta(beta, F, G):
+    target = tits_product(permute_lumps(beta, G), F)
+    k = F.length()
+    hits = [
+        Perm(images)
+        for images in itertools.permutations(range(1, k + 1))
+        if permute_lumps(Perm(images), F) == target
+    ]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def coarsening_mismatches():
+    """Every (F, G) with n <= 4 on which refines disagrees with the set walk,
+    and every (F, G, beta) on which hat_beta disagrees with the search."""
+    bad = []
+    for n in range(5):
+        comps = list(all_compositions(GroundSet.of(range(1, n + 1))))
+        for F in comps:
+            for G in comps:
+                if refines(G, F) != set_walk_refines(G, F):
+                    bad.append((F, G))
+                if not set_walk_refines(G, F):
+                    continue
+                for images in itertools.permutations(range(1, G.length() + 1)):
+                    beta = Perm(images)
+                    if hat_beta(beta, F, G) != searched_hat_beta(beta, F, G):
+                        bad.append((F, G, beta))
+    return bad
+
+
+class TestCoarseningRuns:
+    def test_refines_and_hat_beta_match_the_old_definitions(self):
+        assert coarsening_mismatches() == []
+
+    def test_runs_of_a_coarsening(self):
+        F = comp([1], [2], [3], [4])
+        assert setcomp.coarsening_runs(F, comp([1, 2], [3, 4])) == [range(0, 2), range(2, 4)]
+        assert setcomp.coarsening_runs(F, comp([1, 3], [2, 4])) is None
+        assert setcomp.coarsening_runs(comp([1, 2]), comp([1], [2])) is None
+
+    def test_oracle_catches_a_lift_ordered_by_beta(self, monkeypatch):
+        monkeypatch.setattr(setcomp.Perm, "inverse", lambda self: self)
+        bad = coarsening_mismatches()
+        assert bad and all(len(case) == 3 for case in bad)
