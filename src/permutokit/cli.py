@@ -2,7 +2,8 @@
 
 Payloads are JSON objects on stdin; results go to stdout. `--format json`
 emits a versioned envelope; the default table form prints bare values for
-scalar results and key/value lines otherwise.
+scalar results and key/value lines otherwise. Each subcommand is one row
+of COMMANDS, which builds both the argument parser and the dispatch.
 
 Exit codes: 0 success (boolean query results are still success), 1 a law
 violation or counterexample was found, 2 malformed input or usage error,
@@ -15,13 +16,20 @@ import argparse
 import functools
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import jsonio
 from .axioms import INSTANCES, check_all
 from .boolfun import bf_comul, bf_equivalent, bf_mul, is_generalized_permutohedron
 from .cones import Box, cone_contains, cone_face, cone_lattice_points
 from .opens import check_indexing, open_of_preposet, pullback_delta, pullback_mu
-from .plates import Plate, plate_contains, plate_F_face_contains, plate_lattice_points, window_center
+from .plates import (
+    Plate,
+    plate_contains,
+    plate_F_face_contains,
+    plate_lattice_points,
+    window_center,
+)
 from .points import evaluate, point_comul, point_mul, point_relabel
 from .preposet import (
     composition_of_total,
@@ -48,30 +56,63 @@ from .setcomp import (
 )
 
 
+class Command(NamedTuple):
+    """One subcommand. `keys` are the stdin payload keys it reads, in order:
+    a name decoded through _DECODE, or a (name, decoder) pair. `body` is
+    called as body(args, *decoded values) and returns the result object.
+    `flags` are (flag, add_argument keywords) pairs for its parser."""
+
+    keys: tuple
+    body: Callable
+    flags: tuple = ()
+
+
+# Decoders and library functions are looked up by name when a command runs,
+# not when the table is built, so a module patched after import (as the
+# perfbench tracer patches each layer) is the one called.
+_DECODE = {
+    **dict.fromkeys("FGH", lambda v: jsonio.decode_composition(v)),
+    **dict.fromkeys("pq", lambda v: jsonio.decode_preposet(v)),
+    **dict.fromkeys(("z", "z1", "z2"), lambda v: jsonio.decode_bf(v)),
+    **dict.fromkeys(("x", "x1", "x2"), lambda v: jsonio.decode_point(v)),
+    "S": lambda v: jsonio.decode_labels(v, "S"),
+    "T": lambda v: jsonio.decode_labels(v, "T"),
+    "sigma": lambda v: jsonio.decode_bijection(v),
+    "beta": lambda v: jsonio.decode_perm(v),
+    "U": lambda v: jsonio.decode_open(v),
+    "ground": lambda v: jsonio.decode_ground(v),
+}
+# "h" is a coweight in cones and orbit points, an affine point in plates and sections
+_COWEIGHT = ("h", lambda v: jsonio.decode_coweight(v))
+_AFFINE = ("h", lambda v: jsonio.decode_affine_point(v))
+
+_SIZE = ("--size", dict(type=int, default=None))
+_BOUND = ("--bound", dict(type=int, default=3))
+
+
 def _count(value: int, flag: str) -> int:
     if value < 0:
         raise ValueError(f"{flag} must be nonnegative, got {value}")
     return value
 
 
-def _ground_from(args, payload) -> GroundSet:
-    if getattr(args, "size", None) is not None:
-        return GroundSet.of(range(1, _count(args.size, "--size") + 1))
-    if "ground" in payload:
-        return jsonio.decode_ground(payload["ground"])
-    raise ValueError("pass --size n or a 'ground' array on stdin")
+def _ground_of_size(n: int) -> GroundSet:
+    """The ground set 1..n of `--size n`."""
+    return GroundSet.of(range(1, _count(n, "--size") + 1))
 
 
-def _need(payload: dict, *keys):
-    for k in keys:
+def _values(args, payload: dict, keys: tuple) -> list:
+    """The payload's values at `keys`, decoded in order once every key is
+    known to be present. `--size n` stands in for a 'ground' array."""
+    if "ground" in keys and args.size is not None:
+        return [_ground_of_size(args.size)]
+    named = [k if isinstance(k, tuple) else (k, _DECODE[k]) for k in keys]
+    for k, _ in named:
         if k not in payload:
+            if k == "ground":
+                raise ValueError("pass --size n or a 'ground' array on stdin")
             raise ValueError(f"stdin payload is missing {k!r}")
-    return [payload[k] for k in keys]
-
-
-def _need_labels(payload: dict, *keys) -> list:
-    """The label arrays (S, T) of restrictions and coproducts, decoded."""
-    return [jsonio.decode_labels(v, k) for k, v in zip(keys, _need(payload, *keys))]
+    return [decode(payload[k]) for k, decode in named]
 
 
 def _not_bottom(p):
@@ -80,241 +121,161 @@ def _not_bottom(p):
     return p
 
 
-# ---------------------------------------------------------------------------
-# handlers: (args, payload) -> (exit_code, result dict)
+def _composition(F) -> dict:
+    return {"composition": jsonio.encode_composition(F)}
 
 
-def _comp(args, payload):
-    sub = args.sub
-    dc = jsonio.decode_composition
-    if sub == "tits":
-        F, G = _need(payload, "F", "G")
-        return 0, {"composition": jsonio.encode_composition(tits_product(dc(F), dc(G)))}
-    if sub == "concat":
-        F, G = _need(payload, "F", "G")
-        return 0, {"composition": jsonio.encode_composition(concatenate(dc(F), dc(G)))}
-    if sub == "restrict":
-        (F,), (S,) = _need(payload, "F"), _need_labels(payload, "S")
-        return 0, {"composition": jsonio.encode_composition(restrict(dc(F), S))}
-    if sub == "refines":
-        G, F = _need(payload, "G", "F")
-        return 0, {"refines": refines(dc(G), dc(F))}
-    if sub == "relabel":
-        sig, F = _need(payload, "sigma", "F")
-        out = relabel(jsonio.decode_bijection(sig), dc(F))
-        return 0, {"composition": jsonio.encode_composition(out)}
-    if sub == "permute":
-        beta, F = _need(payload, "beta", "F")
-        out = permute_lumps(jsonio.decode_perm(beta), dc(F))
-        return 0, {"composition": jsonio.encode_composition(out)}
-    if sub == "hat-beta":
-        beta, F, G = _need(payload, "beta", "F", "G")
-        out = hat_beta(jsonio.decode_perm(beta), dc(F), dc(G))
-        return 0, {"perm": jsonio.encode_perm(out)}
-    if sub == "enumerate":
-        ground = _ground_from(args, payload)
-        comps = [jsonio.encode_composition(F) for F in all_compositions(ground)]
-        return 0, {"compositions": comps}
-    raise AssertionError(sub)
+def _preposet(p) -> dict:
+    return {"preposet": jsonio.encode_preposet(p)}
 
 
-def _preposet(args, payload):
-    sub = args.sub
-    dp = jsonio.decode_preposet
-    if sub == "leq":
-        q, p = _need(payload, "q", "p")
-        return 0, {"leq": preposet_leq(dp(q), dp(p))}
-    if sub == "mul":
-        p, q = _need(payload, "p", "q")
-        return 0, {"preposet": jsonio.encode_preposet(o_mul(dp(p), dp(q)))}
-    if sub == "comul":
-        (p,), (S, T) = _need(payload, "p"), _need_labels(payload, "S", "T")
-        pS, pT = o_comul(dp(p), S, T)
-        return 0, {"parts": [jsonio.encode_preposet(pS), jsonio.encode_preposet(pT)]}
-    if sub == "total-of":
-        (F,) = _need(payload, "F")
-        out = total_of_composition(jsonio.decode_composition(F))
-        return 0, {"preposet": jsonio.encode_preposet(out)}
-    if sub == "comp-of":
-        (p,) = _need(payload, "p")
-        out = composition_of_total(_not_bottom(dp(p)))
-        return 0, {"composition": jsonio.encode_composition(out)}
-    if sub == "upward":
-        (p,) = _need(payload, "p")
-        pairs = upward_pairs(_not_bottom(dp(p)))
-        return 0, {"pairs": [[list(S), list(T)] for S, T in pairs]}
-    if sub == "enumerate":
-        ground = _ground_from(args, payload)
-        it = enumerate_aug_preposets(ground) if args.augmented else enumerate_preposets(ground)
-        return 0, {"preposets": [jsonio.encode_preposet(p) for p in it]}
-    raise AssertionError(sub)
+def _point(x) -> dict:
+    return {"point": jsonio.encode_point(x)}
 
 
-def _cone(args, payload):
-    sub = args.sub
-    dp = jsonio.decode_preposet
-    if sub == "points":
-        (p,) = _need(payload, "p")
-        pts = cone_lattice_points(dp(p), Box(args.bound))
-        return 0, {"points": jsonio.encode_point_set(pts)}
-    if sub == "contains":
-        p, h = _need(payload, "p", "h")
-        return 0, {"contains": cone_contains(dp(p), jsonio.decode_coweight(h))}
-    if sub == "face":
-        (p,), (S, T) = _need(payload, "p"), _need_labels(payload, "S", "T")
-        return 0, {"preposet": jsonio.encode_preposet(cone_face(dp(p), S, T))}
-    raise AssertionError(sub)
+def _window(points) -> dict:
+    return {"points": jsonio.encode_point_set(points)}
 
 
-def _bf(args, payload):
-    sub = args.sub
-    dz = jsonio.decode_bf
-    if sub == "mul":
-        z1, z2 = _need(payload, "z1", "z2")
-        return 0, {"bf": jsonio.encode_bf(bf_mul(dz(z1), dz(z2)))}
-    if sub == "comul":
-        (z,), (S, T) = _need(payload, "z"), _need_labels(payload, "S", "T")
-        zS, zT = bf_comul(dz(z), S, T)
-        return 0, {"parts": [jsonio.encode_bf(zS), jsonio.encode_bf(zT)]}
-    if sub == "equiv":
-        z1, z2 = _need(payload, "z1", "z2")
-        shift = bf_equivalent(dz(z1), dz(z2))
-        enc = None if shift is None else {str(k): v for k, v in shift.items()}
-        return 0, {"equivalent": shift is not None, "shift": enc}
-    if sub == "is-gp":
-        (z,) = _need(payload, "z")
-        return 0, {"submodular": is_generalized_permutohedron(dz(z))}
-    raise AssertionError(sub)
+def _parts(encode, parts) -> dict:
+    """The two factors of a coproduct."""
+    return {"parts": [encode(part) for part in parts]}
 
 
-def _plate(args, payload):
-    sub = args.sub
-    if sub in ("points", "contains", "face", "center"):
-        H, z = _need(payload, "H", "z")
-        P = Plate(jsonio.decode_composition(H), jsonio.decode_bf(z))
-    if sub == "points":
-        pts = plate_lattice_points(P, Box(args.bound))
-        return 0, {"points": jsonio.encode_point_set(pts)}
-    if sub == "contains":
-        (h,) = _need(payload, "h")
-        return 0, {"contains": plate_contains(P, jsonio.decode_affine_point(h))}
-    if sub == "face":
-        F, h = _need(payload, "F", "h")
-        ok = plate_F_face_contains(
-            P, jsonio.decode_composition(F), jsonio.decode_affine_point(h)
-        )
-        return 0, {"contains": ok}
-    if sub == "center":
-        return 0, {"point": jsonio.encode_affine_point(window_center(P))}
-    raise AssertionError(sub)
+def _preposets(args, ground) -> dict:
+    every = enumerate_aug_preposets if args.augmented else enumerate_preposets
+    return {"preposets": [jsonio.encode_preposet(p) for p in every(ground)]}
 
 
-def _sections(args, payload):
-    sub = args.sub
-    dz = jsonio.decode_bf
-    if sub == "basis":
-        (z,) = _need(payload, "z")
-        return 0, jsonio.encode_section_basis(global_sections(dz(z)))
-    if sub == "count":
-        (z,) = _need(payload, "z")
-        return 0, {"count": len(global_sections(dz(z)).points)}
-    if sub == "mul":
-        z1, z2 = _need(payload, "z1", "z2")
-        out = sections_mul(global_sections(dz(z1)), global_sections(dz(z2)))
-        return 0, jsonio.encode_section_basis(out)
-    if sub == "comul":
-        (z, h), (S, T) = _need(payload, "z", "h"), _need_labels(payload, "S", "T")
-        word = sections_comul(global_sections(dz(z)), jsonio.decode_affine_point(h), S, T)
-        return 0, jsonio.encode_tensor_word(word, jsonio.encode_affine_point)
-    raise AssertionError(sub)
+def _upward(args, p) -> dict:
+    return {"pairs": [[list(S), list(T)] for S, T in upward_pairs(_not_bottom(p))]}
 
 
-def _point(args, payload):
-    sub = args.sub
-    dx = jsonio.decode_point
-    if sub == "mul":
-        x1, x2 = _need(payload, "x1", "x2")
-        return 0, {"point": jsonio.encode_point(point_mul(dx(x1), dx(x2)))}
-    if sub == "comul":
-        (x,), (S, T) = _need(payload, "x"), _need_labels(payload, "S", "T")
-        xS, xT = point_comul(dx(x), S, T)
-        return 0, {"parts": [jsonio.encode_point(xS), jsonio.encode_point(xT)]}
-    if sub == "eval":
-        x, H, h = _need(payload, "x", "H", "h")
-        val = evaluate(
-            dx(x), jsonio.decode_composition(H), jsonio.decode_coweight(h)
-        )
-        return 0, {"value": str(val)}
-    if sub == "relabel":
-        sig, x = _need(payload, "sigma", "x")
-        out = point_relabel(jsonio.decode_bijection(sig), dx(x))
-        return 0, {"point": jsonio.encode_point(out)}
-    raise AssertionError(sub)
+def _equivalence(args, z1, z2) -> dict:
+    shift = bf_equivalent(z1, z2)
+    enc = None if shift is None else {str(k): v for k, v in shift.items()}
+    return {"equivalent": shift is not None, "shift": enc}
 
 
-def _opens(args, payload):
-    sub = args.sub
-    if sub == "of-preposet":
-        (p,) = _need(payload, "p")
-        U = open_of_preposet(jsonio.decode_preposet(p))
-        return 0, {"open": jsonio.encode_open(U)}
-    if sub == "pullback":
-        F, U = _need(payload, "F", "U")
-        fn = pullback_delta if args.via == "delta" else pullback_mu
-        out = fn(jsonio.decode_composition(F), jsonio.decode_open(U))
-        return 0, {"open": jsonio.encode_open(out)}
-    if sub == "check-indexing":
-        ground = _ground_from(args, payload)
-        report = check_indexing(ground)
-        result = {
-            "passed": report.passed,
-            "checked_mul": report.checked_mul,
-            "checked_comul": report.checked_comul,
-            "counterexample": report.counterexample,
-        }
-        return (0 if report.passed else 1), result
-    raise AssertionError(sub)
+def _pullback(args, F, U) -> dict:
+    pullback = pullback_delta if args.via == "delta" else pullback_mu
+    return {"open": jsonio.encode_open(pullback(F, U))}
 
 
-def _check(args, payload):
-    if args.instance not in INSTANCES:
-        raise ValueError(f"unknown instance {args.instance!r}")
-    ground = GroundSet.of(range(1, _count(args.size, "--size") + 1))
+def _check(args) -> dict:
+    ground = _ground_of_size(args.size)
     budget = _count(args.budget, "--budget")
     inst = INSTANCES[args.instance]()
     reports = check_all(inst, ground, seed=args.seed, budget=budget, exhaustive=args.exhaustive)
-    result = {
-        "reports": [
-            {
-                "law": r.law,
-                "checked": r.checked,
-                "passed": r.passed,
-                "counterexample": r.counterexample,
-            }
-            for r in reports
-        ]
-    }
-    return (0 if all(r.passed for r in reports) else 1), result
+    return {"reports": [vars(r) for r in reports]}
 
 
-_GROUPS = {
-    "comp": _comp,
-    "preposet": _preposet,
-    "cone": _cone,
-    "bf": _bf,
-    "plate": _plate,
-    "sections": _sections,
-    "point": _point,
-    "opens": _opens,
-    "check": _check,
+COMMANDS = {
+    ("comp", "tits"): Command(("F", "G"), lambda a, F, G: _composition(tits_product(F, G))),
+    ("comp", "concat"): Command(("F", "G"), lambda a, F, G: _composition(concatenate(F, G))),
+    ("comp", "restrict"): Command(("F", "S"), lambda a, F, S: _composition(restrict(F, S))),
+    ("comp", "refines"): Command(("G", "F"), lambda a, G, F: {"refines": refines(G, F)}),
+    ("comp", "relabel"): Command(("sigma", "F"), lambda a, s, F: _composition(relabel(s, F))),
+    ("comp", "permute"): Command(("beta", "F"), lambda a, b, F: _composition(permute_lumps(b, F))),
+    ("comp", "hat-beta"): Command(
+        ("beta", "F", "G"), lambda a, b, F, G: {"perm": jsonio.encode_perm(hat_beta(b, F, G))}
+    ),
+    ("comp", "enumerate"): Command(
+        ("ground",),
+        lambda a, ground: {
+            "compositions": [jsonio.encode_composition(F) for F in all_compositions(ground)]
+        },
+        (_SIZE,),
+    ),
+    ("preposet", "leq"): Command(("q", "p"), lambda a, q, p: {"leq": preposet_leq(q, p)}),
+    ("preposet", "mul"): Command(("p", "q"), lambda a, p, q: _preposet(o_mul(p, q))),
+    ("preposet", "comul"): Command(
+        ("p", "S", "T"), lambda a, p, S, T: _parts(jsonio.encode_preposet, o_comul(p, S, T))
+    ),
+    ("preposet", "total-of"): Command(("F",), lambda a, F: _preposet(total_of_composition(F))),
+    ("preposet", "comp-of"): Command(
+        ("p",), lambda a, p: _composition(composition_of_total(_not_bottom(p)))
+    ),
+    ("preposet", "upward"): Command(("p",), _upward),
+    ("preposet", "enumerate"): Command(
+        ("ground",), _preposets, (_SIZE, ("--augmented", dict(action="store_true")))
+    ),
+    ("cone", "points"): Command(
+        ("p",), lambda a, p: _window(cone_lattice_points(p, Box(a.bound))), (_BOUND,)
+    ),
+    ("cone", "contains"): Command(
+        ("p", _COWEIGHT), lambda a, p, h: {"contains": cone_contains(p, h)}
+    ),
+    ("cone", "face"): Command(("p", "S", "T"), lambda a, p, S, T: _preposet(cone_face(p, S, T))),
+    ("bf", "mul"): Command(("z1", "z2"), lambda a, y, z: {"bf": jsonio.encode_bf(bf_mul(y, z))}),
+    ("bf", "comul"): Command(
+        ("z", "S", "T"), lambda a, z, S, T: _parts(jsonio.encode_bf, bf_comul(z, S, T))
+    ),
+    ("bf", "equiv"): Command(("z1", "z2"), _equivalence),
+    ("bf", "is-gp"): Command(("z",), lambda a, z: {"submodular": is_generalized_permutohedron(z)}),
+    ("plate", "points"): Command(
+        ("H", "z"), lambda a, H, z: _window(plate_lattice_points(Plate(H, z), Box(a.bound))),
+        (_BOUND,),
+    ),
+    ("plate", "contains"): Command(
+        ("H", "z", _AFFINE), lambda a, H, z, h: {"contains": plate_contains(Plate(H, z), h)}
+    ),
+    ("plate", "face"): Command(
+        ("H", "z", "F", _AFFINE),
+        lambda a, H, z, F, h: {"contains": plate_F_face_contains(Plate(H, z), F, h)},
+    ),
+    ("plate", "center"): Command(
+        ("H", "z"),
+        lambda a, H, z: {"point": jsonio.encode_affine_point(window_center(Plate(H, z)))},
+    ),
+    ("sections", "basis"): Command(
+        ("z",), lambda a, z: jsonio.encode_section_basis(global_sections(z))
+    ),
+    ("sections", "count"): Command(("z",), lambda a, z: {"count": len(global_sections(z).points)}),
+    ("sections", "mul"): Command(
+        ("z1", "z2"),
+        lambda a, z1, z2: jsonio.encode_section_basis(
+            sections_mul(global_sections(z1), global_sections(z2))
+        ),
+    ),
+    ("sections", "comul"): Command(
+        ("z", _AFFINE, "S", "T"),
+        lambda a, z, h, S, T: jsonio.encode_tensor_word(
+            sections_comul(global_sections(z), h, S, T), jsonio.encode_affine_point
+        ),
+    ),
+    ("point", "mul"): Command(("x1", "x2"), lambda a, x1, x2: _point(point_mul(x1, x2))),
+    ("point", "comul"): Command(
+        ("x", "S", "T"), lambda a, x, S, T: _parts(jsonio.encode_point, point_comul(x, S, T))
+    ),
+    ("point", "eval"): Command(
+        ("x", "H", _COWEIGHT), lambda a, x, H, h: {"value": str(evaluate(x, H, h))}
+    ),
+    ("point", "relabel"): Command(("sigma", "x"), lambda a, s, x: _point(point_relabel(s, x))),
+    ("opens", "of-preposet"): Command(
+        ("p",), lambda a, p: {"open": jsonio.encode_open(open_of_preposet(p))}
+    ),
+    ("opens", "pullback"): Command(
+        ("F", "U"), _pullback, (("--via", dict(choices=("delta", "mu"), required=True)),)
+    ),
+    ("opens", "check-indexing"): Command(
+        ("ground",), lambda a, ground: vars(check_indexing(ground)), (_SIZE,)
+    ),
+    ("check",): Command((), _check, (
+        ("instance", dict(choices=sorted(INSTANCES))),
+        ("--size", dict(type=int, default=3)),
+        ("--seed", dict(type=int, default=0)),
+        ("--budget", dict(type=int, default=200)),
+        ("--exhaustive", dict(action="store_true")),
+    )),
 }
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built on first use and shared by every later
-    main() call in the process: parse_args returns a fresh Namespace and
-    leaves the parser unchanged."""
+    """The argparse tree of COMMANDS, built on first use and shared by every
+    later main() call in the process: parse_args returns a fresh Namespace
+    and leaves the parser unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "table"), default="table",
@@ -328,61 +289,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "points, and open unions",
     )
     top = parser.add_subparsers(dest="group", required=True)
-
-    def group(name, subs, **extra):
-        g = top.add_parser(name)
-        sp = g.add_subparsers(dest="sub", required=True)
-        for s in subs:
-            p = sp.add_parser(s, parents=[common])
-            for flag, kw in extra.get(s, ()):
-                p.add_argument(flag, **kw)
-        return g
-
-    group(
-        "comp",
-        ("tits", "concat", "restrict", "refines", "relabel", "permute", "hat-beta", "enumerate"),
-        **{"enumerate": (("--size", dict(type=int, default=None)),)},
-    )
-    group(
-        "preposet",
-        ("leq", "mul", "comul", "total-of", "comp-of", "upward", "enumerate"),
-        **{
-            "enumerate": (
-                ("--size", dict(type=int, default=None)),
-                ("--augmented", dict(action="store_true")),
-            )
-        },
-    )
-    group(
-        "cone",
-        ("points", "contains", "face"),
-        **{"points": (("--bound", dict(type=int, default=3)),)},
-    )
-    group("bf", ("mul", "comul", "equiv", "is-gp"))
-    group(
-        "plate",
-        ("points", "contains", "face", "center"),
-        **{"points": (("--bound", dict(type=int, default=3)),)},
-    )
-    group("sections", ("basis", "count", "mul", "comul"))
-    group("point", ("mul", "comul", "eval", "relabel"))
-    group(
-        "opens",
-        ("of-preposet", "pullback", "check-indexing"),
-        **{
-            "pullback": (("--via", dict(choices=("delta", "mu"), required=True)),),
-            "check-indexing": (("--size", dict(type=int, default=None)),),
-        },
-    )
-
-    chk = top.add_parser("check", parents=[common])
-    chk.add_argument("instance", choices=sorted(INSTANCES))
-    chk.add_argument("--size", type=int, default=3)
-    chk.add_argument("--seed", type=int, default=0)
-    chk.add_argument("--budget", type=int, default=200)
-    chk.add_argument("--exhaustive", action="store_true")
-    chk.set_defaults(sub=None)
-
+    groups = {}
+    for words, command in COMMANDS.items():
+        group, *sub = words
+        if not sub:
+            leaf = top.add_parser(group, parents=[common])
+        else:
+            if group not in groups:
+                groups[group] = top.add_parser(group).add_subparsers(dest="sub", required=True)
+            leaf = groups[group].add_parser(sub[0], parents=[common])
+        for flag, kw in command.flags:
+            leaf.add_argument(flag, **kw)
+        leaf.set_defaults(command=words)
     return parser
 
 
@@ -426,10 +344,10 @@ def _read_payload() -> dict:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = _GROUPS[args.group]
+    command = COMMANDS[args.command]
     try:
-        payload = _read_payload() if args.group != "check" else {}
-        code, result = handler(args, payload)
+        payload = _read_payload() if command.keys else {}  # `check` reads no stdin
+        result = command.body(args, *_values(args, payload, command.keys))
     except (ValueError, KeyError, OverflowError, MemoryError) as exc:
         message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"error: {message}", file=sys.stderr)
@@ -438,7 +356,8 @@ def main(argv=None) -> int:
         print(jsonio.dumps(jsonio.envelope(result)))
     else:
         _emit_table(result)
-    return code
+    # 1 when a law report or an indexing identity failed
+    return 0 if all(r.get("passed", True) for r in result.get("reports", [result])) else 1
 
 
 if __name__ == "__main__":

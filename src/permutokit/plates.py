@@ -13,7 +13,7 @@ import numpy as np
 from . import _kernels
 from .boolfun import BooleanFunction, hei
 from .cones import AffinePoint, PointSet, juxtaposed, pairing, restricted
-from .setcomp import EMPTY_GROUND, Composition, GroundSet, _mask_sum, refines, sorted_labels
+from .setcomp import EMPTY_GROUND, Composition, GroundSet, _mask_sum, refines
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,7 @@ def halfspace_contains(A: Iterable, z: BooleanFunction, h: AffinePoint) -> bool:
 
 def initial_segments(H: Composition) -> list[tuple]:
     """The proper nonempty initial segments of H, shortest first."""
-    segs = []
-    acc: list = []
-    for lump in H.lumps[:-1]:
-        acc.extend(lump)
-        segs.append(sorted_labels(acc))
-    return segs
+    return [H.ground.subset(m) for m in _prefix_masks(H)[:-1]]
 
 
 def plate_contains(P: Plate, h: AffinePoint) -> bool:

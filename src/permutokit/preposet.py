@@ -26,6 +26,19 @@ from .setcomp import (
 )
 
 
+def _transitive(rows: list[int]) -> bool:
+    """Whether the relation whose row i is the bitmask of the j with (i, j)
+    related is transitive: (i, j) and (j, k) force (i, k) for every k != i."""
+    for i, r in enumerate(rows):
+        j = 0
+        while r:
+            if r & 1 and rows[j] & ~rows[i] & ~(1 << i):
+                return False
+            r >>= 1
+            j += 1
+    return True
+
+
 @dataclass(frozen=True)
 class Preposet:
     """Transitive relation as a bitmask over the n*n cell grid (diagonal unused).
@@ -40,15 +53,11 @@ class Preposet:
         n = len(self.ground)
         if self.mask >> n * n:
             raise ValueError("relation bits outside the grid")
-        rows = [self.mask >> i * n & (1 << n) - 1 for i in range(n)]
-        for i in range(n):
-            if rows[i] >> i & 1:
-                raise ValueError("diagonal pairs must not be stored")
-            for j in range(n):
-                if rows[i] >> j & 1:
-                    # (i,j) and (j,k) force (i,k), except k == i
-                    if rows[j] & ~rows[i] & ~(1 << i):
-                        raise ValueError("relation is not transitive")
+        rows = _rows(self)
+        if any(r >> i & 1 for i, r in enumerate(rows)):
+            raise ValueError("diagonal pairs must not be stored")
+        if not _transitive(rows):
+            raise ValueError("relation is not transitive")
 
     @staticmethod
     def from_pairs(ground: GroundSet, pairs: Iterable[tuple]) -> "Preposet":
@@ -246,29 +255,16 @@ def _preposet_list(ground: GroundSet) -> tuple[Preposet, ...]:
     n = len(ground)
     if n > _ENUM_CAP:
         raise ValueError(f"enumeration capped at {_ENUM_CAP} labels")
-    # candidate masks over off-diagonal cells, in increasing order
-    cells = [i * n + j for i in range(n) for j in range(n) if i != j]
+    # candidate relations over the off-diagonal cells, in increasing mask order
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
     out = []
     for bits in range(1 << len(cells)):
-        mask = 0
-        for k, c in enumerate(cells):
+        rows = [0] * n
+        for k, (i, j) in enumerate(cells):
             if bits >> k & 1:
-                mask |= 1 << c
-        rows = [mask >> i * n & (1 << n) - 1 for i in range(n)]
-        ok = True
-        for i in range(n):
-            r = rows[i]
-            j = 0
-            while r:
-                if r & 1 and rows[j] & ~rows[i] & ~(1 << i):
-                    ok = False
-                    break
-                r >>= 1
-                j += 1
-            if not ok:
-                break
-        if ok:
-            out.append(Preposet(ground, mask))
+                rows[i] |= 1 << j
+        if _transitive(rows):
+            out.append(_from_rows(ground, rows))
     return tuple(out)
 
 

@@ -86,23 +86,24 @@ class GroundSet:
         return x in self.labels
 
     def index(self, x: Label) -> int:
-        return self.labels.index(x)
+        """The canonical position of x. ValueError naming x when it is
+        outside the ground set."""
+        try:
+            return self.labels.index(x)
+        except ValueError:
+            raise ValueError(f"label {x!r} is not in the ground set") from None
 
     def positions(self, labels: Iterable[Label]) -> list[int]:
         """The canonical index of each label, in the given order: the one
         map every coordinate scatter (juxtaposition) and gather (restriction)
-        goes through. ValueError on a label outside the ground set."""
-        return list(map(self.labels.index, labels))
+        goes through."""
+        return list(map(self.index, labels))
 
     def mask(self, labels: Iterable[Label]) -> int:
-        """The bitmask of a subset: bit k stands for labels[k]. ValueError
-        on a label outside the ground set."""
+        """The bitmask of a subset: bit k stands for labels[k]."""
         m = 0
         for x in labels:
-            try:
-                m |= 1 << self.labels.index(x)
-            except ValueError:
-                raise ValueError(f"label {x!r} is not in the ground set") from None
+            m |= 1 << self.index(x)
         return m
 
     def subset(self, mask: int) -> tuple:
@@ -136,9 +137,12 @@ class Composition:
                 raise ValueError("empty lump")
             if lump != sorted_labels(lump):
                 raise ValueError(f"lump not in canonical order: {lump!r}")
-            if seen & set(lump):
+            labels = set(lump)
+            if len(labels) != len(lump):
+                raise ValueError(f"lump repeats a label: {lump!r}")
+            if seen & labels:
                 raise ValueError("lumps overlap")
-            seen |= set(lump)
+            seen |= labels
         if seen != set(self.ground.labels):
             raise ValueError("lumps do not cover the ground set")
 

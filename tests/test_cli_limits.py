@@ -54,20 +54,22 @@ def test_overflow_error_exits_two(monkeypatch, capsys):
 
 
 def test_memory_error_exits_two(monkeypatch, capsys):
-    def exhausted(args, payload):
+    def exhausted(args):
         raise MemoryError("Unable to allocate 671. GiB for an array\nwith shape (1,)")
 
-    monkeypatch.setitem(cli_mod._GROUPS, "sections", exhausted)
+    row = cli_mod.COMMANDS["sections", "count"]._replace(keys=(), body=exhausted)
+    monkeypatch.setitem(cli_mod.COMMANDS, ("sections", "count"), row)
     code, out, err = run_cli(monkeypatch, capsys, ["sections", "count"], {})
     assert_one_line_error(code, out, err)
     assert "671. GiB" in err
 
 
 def test_bare_memory_error_names_itself(monkeypatch, capsys):
-    def exhausted(args, payload):
+    def exhausted(args):
         raise MemoryError
 
-    monkeypatch.setitem(cli_mod._GROUPS, "cone", exhausted)
+    row = cli_mod.COMMANDS["cone", "points"]._replace(keys=(), body=exhausted)
+    monkeypatch.setitem(cli_mod.COMMANDS, ("cone", "points"), row)
     code, out, err = run_cli(monkeypatch, capsys, ["cone", "points"], {})
     assert_one_line_error(code, out, err)
     assert err == "error: MemoryError\n"

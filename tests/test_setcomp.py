@@ -5,6 +5,8 @@ import itertools
 import pytest
 
 from permutokit import setcomp
+from permutokit.cones import CoweightVector, cone_restrict
+from permutokit.preposet import Preposet
 from permutokit.setcomp import (
     Bijection,
     Composition,
@@ -67,6 +69,17 @@ class TestSubsetCodec:
         with pytest.raises(ValueError, match="label 3"):
             self.GROUND.mask([1, 3])
 
+    def test_index_names_a_foreign_label(self):
+        G2 = GroundSet.of([1, 2])
+        calls = (
+            lambda: cone_restrict(CoweightVector(G2, (1, -1)), [9]),
+            lambda: Preposet.from_pairs(G2, [(1, 9)]),
+            lambda: G2.index(9),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="^label 9 is not in the ground set$"):
+                call()
+
     def test_scatter_inverts_gather(self):
         pos = [3, 0, 2]
         for m in range(1 << 3):
@@ -85,6 +98,10 @@ class TestComposition:
     def test_overlapping_lumps_rejected(self):
         with pytest.raises(ValueError):
             comp([1, 2], [2, 3])
+
+    def test_label_repeated_within_a_lump_rejected(self):
+        with pytest.raises(ValueError, match="repeats a label"):
+            Composition(GroundSet.of([1, 2]), ((1, 1), (2,)))
 
     def test_empty_lump_rejected(self):
         with pytest.raises(ValueError):
