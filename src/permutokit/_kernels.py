@@ -1,6 +1,14 @@
 """Integer lattice kernels: window enumeration and halfspace filtering, in
 numpy. int64 arithmetic is exact only while every sum stays in range, so each
 window is proved in range by `check_int64_window` before it is enumerated.
+
+Cone and plate windows share one shape: the rows of the cached zero-sum box
+whose coordinate sum over each of a list of subsets is at most zero. A plate
+window is its centre plus such a cone window, since the centre meets every
+proper initial-segment inequality with equality. `cone_window` answers it
+from a cached table saying which of the box's subset sums are at most zero;
+section windows, and boxes too large for a table, go through the row-chunked
+`lattice_filter`.
 """
 from __future__ import annotations
 
@@ -57,6 +65,35 @@ def lattice_filter(cands, A, b):
         # with no constraint rows the product has no columns: all() is True
         (cands[i:i + step] @ A.T <= b).all(axis=1, out=out[i:i + step])
     return out
+
+
+@lru_cache(maxsize=16)
+def _nonpositive_sums(n: int, bound: int) -> np.ndarray:
+    """Which subset sums of zero_sum_box(n, bound) are at most zero, stored
+    constraint-major: row m-1 holds, for every box row, whether its
+    coordinate sum over mask m is <= 0. A read-only (2^n - 2, N) bool array,
+    built only when it has at most FILTER_CELLS cells, so one table holds at
+    most FILTER_CELLS bytes (4 MiB) and the cache at most 16 * FILTER_CELLS
+    (64 MiB). Building it forms the int64 sums once, at most 32 MiB."""
+    out = _subset_rows(n) @ zero_sum_box(n, bound).T <= 0
+    out.setflags(write=False)
+    return out
+
+
+def cone_window(n: int, bound: int, masks) -> np.ndarray:
+    """The rows of zero_sum_box(n, bound) whose coordinate sum over every
+    mask in masks (bitmasks of nonempty proper subsets) is at most zero, in
+    the box's lexicographic order, as a new (K, n) int64 array.
+
+    When the box's table of subset-sum signs has at most FILTER_CELLS cells,
+    each mask costs one AND of a cached table row; larger boxes go through
+    lattice_filter."""
+    box = zero_sum_box(n, bound)
+    idx = np.asarray(masks, dtype=np.intp) - 1
+    if ((1 << n) - 2) * box.shape[0] > FILTER_CELLS:
+        A = _subset_rows(n)[idx]
+        return box[lattice_filter(box, A, np.zeros(len(idx), dtype=np.int64))]
+    return box[_nonpositive_sums(n, bound)[idx].all(axis=0)]
 
 
 @lru_cache(maxsize=64)

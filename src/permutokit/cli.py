@@ -142,6 +142,17 @@ def _parts(encode, parts) -> dict:
     return {"parts": [encode(part) for part in parts]}
 
 
+# The list is encoded whole before printing, and a label multiplies the count
+# by about 13: 7 labels give 47293 compositions, 9 labels 7087261.
+_COMP_CAP = 7
+
+
+def _compositions(args, ground) -> dict:
+    if len(ground) > _COMP_CAP:
+        raise ValueError(f"enumeration capped at {_COMP_CAP} labels")
+    return {"compositions": [jsonio.encode_composition(F) for F in all_compositions(ground)]}
+
+
 def _preposets(args, ground) -> dict:
     every = enumerate_aug_preposets if args.augmented else enumerate_preposets
     return {"preposets": [jsonio.encode_preposet(p) for p in every(ground)]}
@@ -180,13 +191,7 @@ COMMANDS = {
     ("comp", "hat-beta"): Command(
         ("beta", "F", "G"), lambda a, b, F, G: {"perm": jsonio.encode_perm(hat_beta(b, F, G))}
     ),
-    ("comp", "enumerate"): Command(
-        ("ground",),
-        lambda a, ground: {
-            "compositions": [jsonio.encode_composition(F) for F in all_compositions(ground)]
-        },
-        (_SIZE,),
-    ),
+    ("comp", "enumerate"): Command(("ground",), _compositions, (_SIZE,)),
     ("preposet", "leq"): Command(("q", "p"), lambda a, q, p: {"leq": preposet_leq(q, p)}),
     ("preposet", "mul"): Command(("p", "q"), lambda a, p, q: _preposet(o_mul(p, q))),
     ("preposet", "comul"): Command(

@@ -243,11 +243,7 @@ def cone_lattice_points(p: AugPreposet, box: Box) -> PointSet:
     if is_bottom(p):
         return PointSet(ground, [])
     _kernels.check_int64_window(len(ground), box.bound)
-    cands = _kernels.zero_sum_box(len(ground), box.bound)
-    ups = np.array(upward_masks(p), dtype=np.intp)
-    A = _kernels._subset_rows(len(ground))[ups - 1]
-    mask = _kernels.lattice_filter(cands, A, np.zeros(len(ups), dtype=np.int64))
-    return PointSet(ground, cands[mask])
+    return PointSet(ground, _kernels.cone_window(len(ground), box.bound, upward_masks(p)))
 
 
 def cone_product_map(h1: CoweightVector, h2: CoweightVector) -> CoweightVector:

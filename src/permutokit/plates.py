@@ -2,6 +2,10 @@
 composition against a subset function, inside the affine slice of total
 height. Includes windowed lattice enumeration, maximal affine flats, face
 membership, and the juxtaposition map between flats.
+
+Near its centre a plate is a translated cone: a plate window is the window
+centre plus the cone window of the proper initial segments of H, for every
+z, submodular or not.
 """
 from __future__ import annotations
 
@@ -73,11 +77,12 @@ def _prefix_masks(F: Composition) -> list[int]:
     return out
 
 
-def _lump_heights(z: BooleanFunction, F: Composition) -> tuple[int, ...]:
-    """The consecutive differences of z along the initial segments of F: the
-    totals of the iterated coproduct of z along F, lump by lump."""
+def _lump_heights(z: BooleanFunction, masks: list[int]) -> tuple[int, ...]:
+    """The consecutive differences of z along the prefix masks of a
+    composition: the totals of the iterated coproduct of z along it, lump by
+    lump."""
     out, prev = [], 0
-    for m in _prefix_masks(F):
+    for m in masks:
         out.append(z.values[m] - z.values[prev])
         prev = m
     return tuple(out)
@@ -86,7 +91,7 @@ def _lump_heights(z: BooleanFunction, F: Composition) -> tuple[int, ...]:
 def max_affine_flat(P: Plate) -> FlatSpec:
     """The flat obtained by forcing every initial-segment inequality to an
     equality: per-lump heights are the consecutive differences of z along H."""
-    return FlatSpec(P.H, _lump_heights(P.z, P.H))
+    return FlatSpec(P.H, _lump_heights(P.z, _prefix_masks(P.H)))
 
 
 def flat_contains(spec: FlatSpec, h: AffinePoint) -> bool:
@@ -95,34 +100,43 @@ def flat_contains(spec: FlatSpec, h: AffinePoint) -> bool:
     return all(pairing(h, lump) == a for lump, a in zip(spec.F.lumps, spec.heights))
 
 
+def _center(F: Composition, heights: tuple[int, ...]) -> tuple[int, ...]:
+    """The coordinates of window_center on the flat of F with these lump
+    heights."""
+    coords = [0] * len(F.ground)
+    for lump, a in zip(F.lumps, heights):
+        q, r = divmod(a, len(lump))
+        for k, i in enumerate(F.ground.positions(lump)):
+            coords[i] = q + 1 if k < r else q
+    return tuple(coords)
+
+
 def window_center(P: Plate) -> AffinePoint:
     """Canonical integer point on the maximal affine flat: within each lump,
     the height is split as evenly as possible, remainders going to the
     canonically first labels."""
-    spec = max_affine_flat(P)
-    coords = {}
-    for lump, a in zip(spec.F.lumps, spec.heights):
-        q, r = divmod(a, len(lump))
-        for k, x in enumerate(lump):
-            coords[x] = q + 1 if k < r else q
-    return AffinePoint.of(P.H.ground, coords)
+    return AffinePoint(P.H.ground, _center(P.H, _lump_heights(P.z, _prefix_masks(P.H))))
 
 
 def plate_lattice_points(P: Plate, box) -> PointSet:
     """Integer plate points h with |h - center| <= bound coordinatewise,
-    lexicographically ordered."""
+    lexicographically ordered.
+
+    The centre lies on the maximal affine flat, so it meets every proper
+    initial-segment inequality with equality: h = center + d is in the plate
+    exactly when d sums to at most zero over each proper initial segment. The
+    window is the centre plus that cone window of the zero-sum box."""
     ground = P.H.ground
     n = len(ground)
-    center = window_center(P)
-    segs = _prefix_masks(P.H)[:-1]
+    masks = _prefix_masks(P.H)
+    center = _center(P.H, _lump_heights(P.z, masks))
+    segs = masks[:-1]
     rhs = [P.z.values[m] for m in segs]
-    coord_max = max(map(abs, center.coords), default=0) + box.bound
+    coord_max = max(map(abs, center), default=0) + box.bound
     _kernels.check_int64_window(n, coord_max, rhs)
-    c = np.array(center.coords, dtype=np.int64).reshape(n)
-    cands = _kernels.zero_sum_box(n, box.bound) + c
-    A = _kernels._subset_rows(n)[np.array(segs, dtype=np.intp) - 1]
-    mask = _kernels.lattice_filter(cands, A, np.array(rhs, dtype=np.int64))
-    return PointSet(ground, cands[mask], AffinePoint)
+    rows = _kernels.cone_window(n, box.bound, segs)
+    rows += np.array(center, dtype=np.int64)
+    return PointSet(ground, rows, AffinePoint)
 
 
 def restrict_point(h: AffinePoint, S: Iterable) -> AffinePoint:
@@ -152,5 +166,5 @@ def plate_F_face_contains(P: Plate, F: Composition, h: AffinePoint) -> bool:
         raise ValueError("ground sets differ")
     if not refines(F, P.H):
         return False
-    face_flat = FlatSpec(F, _lump_heights(P.z, F))
+    face_flat = FlatSpec(F, _lump_heights(P.z, _prefix_masks(F)))
     return plate_contains(P, h) and flat_contains(face_flat, h)

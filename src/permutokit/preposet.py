@@ -224,9 +224,15 @@ def composition_of_total(p: Preposet) -> Composition:
 @lru_cache(maxsize=None)
 def upward_masks(p: Preposet) -> tuple[int, ...]:
     """The bitmasks S, increasing, of the proper nonempty subsets with
-    (S, complement) <= p."""
+    (S, complement) <= p: those no label outside S is related into."""
     rows = _rows(p)
-    return tuple(S for S in range(1, (1 << len(rows)) - 1) if _closed_upward(rows, S))
+    full = (1 << len(rows)) - 1
+    # reach[C]: the labels some label of C is related to, peeling C's lowest bit
+    reach = [0] * (full + 1)
+    for C in range(1, full + 1):
+        low = C & -C
+        reach[C] = reach[C ^ low] | rows[low.bit_length() - 1]
+    return tuple(S for S in range(1, full) if not S & reach[full ^ S])
 
 
 @lru_cache(maxsize=None)

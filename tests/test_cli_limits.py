@@ -313,3 +313,17 @@ def test_negative_bound_keeps_its_message(monkeypatch, capsys):
     code, out, err = run_cli(monkeypatch, capsys, ["cone", "points", "--bound", "-1"], payload)
     assert_one_line_error(code, out, err)
     assert err == "error: bound must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["comp", "enumerate", "--size", "8"], {}),
+        (["comp", "enumerate"], {"ground": list(range(1, 9))}),
+    ],
+    ids=["size-flag", "ground-payload"],
+)
+def test_composition_enumeration_is_capped(monkeypatch, capsys, argv, payload):
+    code, out, err = run_cli(monkeypatch, capsys, argv, payload)
+    assert_one_line_error(code, out, err)
+    assert err == "error: enumeration capped at 7 labels\n"

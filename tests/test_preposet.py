@@ -287,6 +287,29 @@ class TestMaskSplits:
         assert split_mismatches(upward_masks.__wrapped__, split_admissible)
 
 
+def scan_upward_masks(p):
+    """The per-mask scan that upward_masks replaced: keep S when no label
+    outside S is related to a label of S."""
+    rows = preposet._rows(p)
+    return tuple(
+        S for S in range(1, (1 << len(rows)) - 1)
+        if not any(r & S for t, r in enumerate(rows) if not S >> t & 1)
+    )
+
+
+class TestUpwardMasksOnePass:
+    def test_matches_the_per_mask_scan(self):
+        for n in range(5):
+            for p in enumerate_preposets(GroundSet.of(range(1, n + 1))):
+                assert upward_masks.__wrapped__(p) == scan_upward_masks(p)
+
+    def test_matches_the_per_mask_scan_on_total_preposets_of_five(self):
+        totals = [total_of_composition(F) for F in all_compositions(GroundSet.of(range(1, 6)))]
+        assert len(totals) == 541
+        for p in totals:
+            assert upward_masks.__wrapped__(p) == scan_upward_masks(p)
+
+
 # ---------------------------------------------------------------------------
 # row gathers and scatters: differential checks against the pair-relation
 # definitions, copied in as oracles

@@ -23,7 +23,7 @@ from permutokit.plates import (
     plate_lattice_points,
     window_center,
 )
-from permutokit.preposet import Bottom, Preposet, enumerate_preposets
+from permutokit.preposet import Bottom, Preposet, enumerate_preposets, upward_masks
 from permutokit.sections import SectionBasis, global_sections, sections_mul
 from permutokit.setcomp import Composition, GroundSet, all_compositions, refines
 
@@ -241,13 +241,27 @@ class TestDifferential:
         assert rows_of(prod.points) == brute_sections(prod.z.values, 4)
 
     def test_oracle_catches_a_dropped_constraint(self, monkeypatch):
-        real = _kernels.lattice_filter
+        real = _kernels.cone_window
         monkeypatch.setattr(
-            _kernels, "lattice_filter", lambda cands, A, b: real(cands, A[:-1], b[:-1])
+            _kernels, "cone_window", lambda n, bound, masks: real(n, bound, list(masks)[:-1])
         )
         assert any(
             rows_of(cone_lattice_points(p, Box(1))) != brute_cone(p, 1)
             for p in enumerate_preposets(GROUNDS[3])
+        )
+
+    def test_oracle_catches_a_center_off_by_one(self, monkeypatch):
+        real = plates._center
+
+        def off_by_one(F, heights):
+            c = real(F, heights)
+            return (c[0] + 1,) + c[1:]
+
+        monkeypatch.setattr(plates, "_center", off_by_one)
+        z = perm_bf(3)
+        assert any(
+            rows_of(plate_lattice_points(Plate(H, z), Box(1))) != brute_plate(H, z.values, 1)
+            for H in all_compositions(GROUNDS[3])
         )
 
     def test_basis_validation_catches_a_filter_that_keeps_everything(self, monkeypatch):
@@ -256,6 +270,85 @@ class TestDifferential:
         )
         with pytest.raises(ValueError, match="subset inequality"):
             global_sections(perm_bf(4))
+
+
+def integer_tables(n):
+    """Arbitrary integer subset functions: z(empty) = 0, nothing else fixed."""
+    return st.lists(
+        st.integers(-6, 6), min_size=(1 << n) - 1, max_size=(1 << n) - 1
+    ).map(lambda vs: [0, *vs])
+
+
+def brute_translated_cone(masks, n, bound):
+    """Zero-sum window points pairing to at most zero with every mask."""
+    return [d for d in _zero_sum_box(n, bound) if all(_pair(d, m) <= 0 for m in masks)]
+
+
+class TestConeWindowKernel:
+    """cone_window on both of its paths: the cached table of subset-sum signs,
+    and the row-chunked lattice_filter it falls back to for large boxes."""
+
+    @pytest.fixture(params=["table", "filter"])
+    def path(self, request, monkeypatch):
+        calls = []
+        real = _kernels.lattice_filter
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(_kernels, "lattice_filter", counted)
+        if request.param == "filter":
+            # below every table's cell count, n = 0 (-1 cells) and n = 1 (0) included
+            monkeypatch.setattr(_kernels, "FILTER_CELLS", -2)
+        yield request.param
+        assert bool(calls) == (request.param == "filter")
+
+    def test_cone_windows_match_box_scan(self, path):
+        for n in range(5):
+            for p in enumerate_preposets(GROUNDS[n]):
+                for bound in range(4):
+                    want = brute_cone(p, bound)
+                    assert rows_of(cone_lattice_points(p, Box(bound))) == want
+                    got = _kernels.cone_window(n, bound, upward_masks(p))
+                    assert rows_of(PointSet(GROUNDS[n], got)) == want
+
+    def test_plate_window_is_center_plus_cone_window(self, path):
+        for n, table in ((0, [0]), (1, [0, 5]), (3, perm_bf(3).values)):
+            z = BooleanFunction(GROUNDS[n], tuple(table))
+            for H in all_compositions(GROUNDS[n]):
+                for bound in range(4):
+                    assert_plate_is_translated_cone(H, z, bound)
+
+    def test_table_is_cached_and_read_only(self):
+        table = _kernels._nonpositive_sums(3, 2)
+        box = _kernels.zero_sum_box(3, 2)
+        assert table is _kernels._nonpositive_sums(3, 2)
+        assert table.dtype == np.bool_ and table.shape == (6, len(box))
+        for m in range(1, 7):
+            assert table[m - 1].tolist() == [_pair(row, m) <= 0 for row in box.tolist()]
+        with pytest.raises(ValueError):
+            table[0, 0] = False
+
+    @SETTINGS
+    @given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+        st.sampled_from(list(all_compositions(GROUNDS[n]))),
+        st.one_of(integer_tables(n), submodular_tables(n)),
+        st.sampled_from(range(4)))))
+    def test_plates_of_random_tables_are_translated_cones(self, case):
+        H, table, bound = case
+        assert_plate_is_translated_cone(H, BooleanFunction(H.ground, tuple(table)), bound)
+
+
+def assert_plate_is_translated_cone(H, z, bound):
+    n = len(H.ground)
+    P = Plate(H, z)
+    got = plate_lattice_points(P, Box(bound))
+    assert rows_of(got) == brute_plate(H, z.values, bound)
+    segs = plates._prefix_masks(H)[:-1]
+    d = got.rows - np.array(window_center(P).coords, dtype=np.int64)
+    assert d.tolist() == _kernels.cone_window(n, bound, segs).tolist()
+    assert rows_of(PointSet(H.ground, d)) == brute_translated_cone(segs, n, bound)
 
 
 def comul_heights(z, F):
