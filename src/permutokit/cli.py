@@ -101,11 +101,13 @@ def _ground_of_size(n: int) -> GroundSet:
     return GroundSet.of(range(1, _count(n, "--size") + 1))
 
 
-def _values(args, payload: dict, keys: tuple) -> list:
-    """The payload's values at `keys`, decoded in order once every key is
-    known to be present. `--size n` stands in for a 'ground' array."""
+def _values(args, keys: tuple) -> list:
+    """The stdin payload's values at `keys`, decoded in order once every key
+    is known to be present. `--size n` stands in for a 'ground' array, and
+    stdin is read only when some key has to come from it."""
     if "ground" in keys and args.size is not None:
         return [_ground_of_size(args.size)]
+    payload = _read_payload() if keys else {}  # `check` reads no stdin
     named = [k if isinstance(k, tuple) else (k, _DECODE[k]) for k in keys]
     for k, _ in named:
         if k not in payload:
@@ -351,8 +353,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:
-        payload = _read_payload() if command.keys else {}  # `check` reads no stdin
-        result = command.body(args, *_values(args, payload, command.keys))
+        result = command.body(args, *_values(args, command.keys))
     except (ValueError, KeyError, OverflowError, MemoryError) as exc:
         message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"error: {message}", file=sys.stderr)

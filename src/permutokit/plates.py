@@ -130,11 +130,11 @@ def plate_lattice_points(P: Plate, box) -> PointSet:
     n = len(ground)
     masks = _prefix_masks(P.H)
     center = _center(P.H, _lump_heights(P.z, masks))
-    segs = masks[:-1]
-    rhs = [P.z.values[m] for m in segs]
+    # the centre meets every proper prefix with equality, so no z value is
+    # compared in int64 and coord_max bounds every sum
     coord_max = max(map(abs, center), default=0) + box.bound
-    _kernels.check_int64_window(n, coord_max, rhs)
-    rows = _kernels.cone_window(n, box.bound, segs)
+    _kernels.check_int64_window(n, coord_max)
+    rows = _kernels.cone_window(n, box.bound, masks[:-1])
     rows += np.array(center, dtype=np.int64)
     return PointSet(ground, rows, AffinePoint)
 

@@ -1,8 +1,8 @@
 """Preposets and the pointed family they form under disjoint union and
 admissible restriction.
 
-A preposet on a ground set is a transitive relation stored as the set of its
-ordered pairs of distinct labels (reflexivity is implicit). The family is
+A preposet on a ground set is a transitive relation stored as one bitmask row
+per label: the labels it is related to, itself left implicit. The family is
 augmented by a distinguished bottom element that absorbs multiplication and
 marks inadmissible comultiplications.
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .setcomp import (
     Bijection,
@@ -26,7 +26,7 @@ from .setcomp import (
 )
 
 
-def _transitive(rows: list[int]) -> bool:
+def _transitive(rows: Sequence[int]) -> bool:
     """Whether the relation whose row i is the bitmask of the j with (i, j)
     related is transitive: (i, j) and (j, k) force (i, k) for every k != i."""
     for i, r in enumerate(rows):
@@ -41,19 +41,22 @@ def _transitive(rows: list[int]) -> bool:
 
 @dataclass(frozen=True)
 class Preposet:
-    """Transitive relation as a bitmask over the n*n cell grid (diagonal unused).
+    """Transitive relation as one bitmask row per label (diagonal unused).
 
-    Bit i*n + j is set iff (labels[i], labels[j]) is in the relation.
+    Bit j of rows[i] is set iff (labels[i], labels[j]) is in the relation.
     """
 
     ground: GroundSet
-    mask: int
+    rows: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.ground)
-        if self.mask >> n * n:
+        rows, n = self.rows, len(self.ground)
+        if type(rows) is not tuple or any(type(r) is not int for r in rows):
+            raise ValueError("relation rows must be a tuple of ints")
+        if len(rows) != n:
+            raise ValueError(f"relation has {len(rows)} rows for {n} labels")
+        if any(r >> n for r in rows):
             raise ValueError("relation bits outside the grid")
-        rows = _rows(self)
         if any(r >> i & 1 for i, r in enumerate(rows)):
             raise ValueError("diagonal pairs must not be stored")
         if not _transitive(rows):
@@ -61,42 +64,31 @@ class Preposet:
 
     @staticmethod
     def from_pairs(ground: GroundSet, pairs: Iterable[tuple]) -> "Preposet":
-        n = len(ground)
-        mask = 0
+        rows = [0] * len(ground)
         for a, b in pairs:
             i, j = ground.index(a), ground.index(b)
             if i == j:
                 raise ValueError("pairs must have distinct labels")
-            mask |= 1 << i * n + j
-        return Preposet(ground, mask)
+            rows[i] |= 1 << j
+        return Preposet(ground, tuple(rows))
 
     @staticmethod
     def antichain(ground: GroundSet) -> "Preposet":
-        return Preposet(ground, 0)
+        return Preposet(ground, (0,) * len(ground))
 
     @staticmethod
     def complete(ground: GroundSet) -> "Preposet":
-        n = len(ground)
-        mask = 0
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    mask |= 1 << i * n + j
-        return Preposet(ground, mask)
+        full = (1 << len(ground)) - 1
+        return Preposet(ground, tuple(full ^ 1 << i for i in range(len(ground))))
 
     def has(self, a, b) -> bool:
-        n = len(self.ground)
-        return bool(self.mask >> self.ground.index(a) * n + self.ground.index(b) & 1)
+        return bool(self.rows[self.ground.index(a)] >> self.ground.index(b) & 1)
 
     @property
     def pairs(self) -> frozenset:
-        n = len(self.ground)
         labels = self.ground.labels
         return frozenset(
-            (labels[i], labels[j])
-            for i in range(n)
-            for j in range(n)
-            if self.mask >> i * n + j & 1
+            (a, b) for a, r in zip(labels, self.rows) for j, b in enumerate(labels) if r >> j & 1
         )
 
     def __repr__(self) -> str:
@@ -127,25 +119,13 @@ def preposet_leq(q: AugPreposet, p: AugPreposet) -> bool:
         return True
     if is_bottom(p):
         return False
-    return p.mask & ~q.mask == 0
-
-
-def _rows(p: Preposet) -> list[int]:
-    """Row i is the bitmask of the labels that labels[i] is related to."""
-    n = len(p.ground)
-    return [p.mask >> i * n & (1 << n) - 1 for i in range(n)]
-
-
-def _from_rows(ground: GroundSet, rows: Iterable[int]) -> Preposet:
-    n = len(ground)
-    return Preposet(ground, sum(r << i * n for i, r in enumerate(rows)))
+    return not any(r & ~s for r, s in zip(p.rows, q.rows))
 
 
 def _induced(p: Preposet, ground: GroundSet, pos: list[int]) -> Preposet:
     """The relation of p read on ground, whose k-th label stands for the
     label of p at position pos[k]: one gather of the rows at pos."""
-    rows = _rows(p)
-    return _from_rows(ground, (gather_bits(rows[i], pos) for i in pos))
+    return Preposet(ground, tuple(gather_bits(p.rows[i], pos) for i in pos))
 
 
 def restrict_preposet(p: Preposet, S: Iterable) -> Preposet:
@@ -164,12 +144,12 @@ def o_mul(p: AugPreposet, q: AugPreposet) -> AugPreposet:
     rows = [0] * len(ground)
     for part in (p, q):
         pos = ground.positions(part.ground.labels)
-        for i, r in zip(pos, _rows(part)):
+        for i, r in zip(pos, part.rows):
             rows[i] = scatter_bits(r, pos)
-    return _from_rows(ground, rows)
+    return Preposet(ground, tuple(rows))
 
 
-def _closed_upward(rows: list[int], S: int) -> bool:
+def _closed_upward(rows: tuple[int, ...], S: int) -> bool:
     """Whether no relation bit runs from a label outside S into S."""
     return not any(r & S for t, r in enumerate(rows) if not S >> t & 1)
 
@@ -178,7 +158,7 @@ def split_admissible(p: Preposet, S: Iterable, T: Iterable) -> bool:
     """Whether (S,T) <= p, i.e. the relation of p is contained in the total
     relation of (S|T): no label of T is related to a label of S."""
     S_mask, _ = _split_masks(p.ground, S, T)
-    return _closed_upward(_rows(p), S_mask)
+    return _closed_upward(p.rows, S_mask)
 
 
 def o_comul(
@@ -202,11 +182,11 @@ def total_of_composition(F: Composition) -> Preposet:
         later |= F.ground.mask(lump)
         for i in F.ground.positions(lump):
             rows[i] = later & ~(1 << i)
-    return _from_rows(F.ground, rows)
+    return Preposet(F.ground, tuple(rows))
 
 
 def is_total(p: Preposet) -> bool:
-    rows = _rows(p)
+    rows = p.rows
     return all((r >> j | rows[j] >> i) & 1 for i, r in enumerate(rows) for j in range(i))
 
 
@@ -216,7 +196,7 @@ def composition_of_total(p: Preposet) -> Composition:
         raise ValueError("preposet is not total")
     # the masks of the labels in or after each label's lump: a chain of
     # subsets, so decreasing as integers, and consecutive ones differ by a lump
-    tails = sorted({r | 1 << i for i, r in enumerate(_rows(p))}, reverse=True)
+    tails = sorted({r | 1 << i for i, r in enumerate(p.rows)}, reverse=True)
     lumps = (p.ground.subset(a & ~b) for a, b in zip(tails, tails[1:] + [0]))
     return Composition(p.ground, tuple(lumps))
 
@@ -225,7 +205,7 @@ def composition_of_total(p: Preposet) -> Composition:
 def upward_masks(p: Preposet) -> tuple[int, ...]:
     """The bitmasks S, increasing, of the proper nonempty subsets with
     (S, complement) <= p: those no label outside S is related into."""
-    rows = _rows(p)
+    rows = p.rows
     full = (1 << len(rows)) - 1
     # reach[C]: the labels some label of C is related to, peeling C's lowest bit
     reach = [0] * (full + 1)
@@ -270,7 +250,7 @@ def _preposet_list(ground: GroundSet) -> tuple[Preposet, ...]:
             if bits >> k & 1:
                 rows[i] |= 1 << j
         if _transitive(rows):
-            out.append(_from_rows(ground, rows))
+            out.append(Preposet(ground, tuple(rows)))
     return tuple(out)
 
 

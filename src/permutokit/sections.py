@@ -80,8 +80,8 @@ class SectionBasis:
     """The integer points of the base polytope of z, in lexicographic order.
 
     points may be given as any sequence of AffinePoints; it is stored as a
-    PointSet. Every point is checked against z at once: the coordinate sum
-    must be hei(z) and every subset pairing at most z of that subset.
+    PointSet. Every point is checked against z, in row chunks: the coordinate
+    sum must be hei(z) and every subset pairing at most z of that subset.
     """
 
     z: BooleanFunction
@@ -101,8 +101,13 @@ class SectionBasis:
         if (rows.sum(axis=1) != hei(z)).any():
             raise ValueError("point has the wrong coordinate sum")
         b = np.array(z.values[1:-1], dtype=np.int64)
-        if (rows @ _kernels._subset_rows(len(z.ground)).T > b).any():
-            raise ValueError("point violates a subset inequality")
+        A = _kernels._subset_rows(len(z.ground)).T
+        # at most FILTER_CELLS product cells at a time, without lattice_filter,
+        # so that this check stays independent of the filter it guards
+        step = max(1, _kernels.FILTER_CELLS // max(len(b), 1))
+        for i in range(0, len(rows), step):
+            if (rows[i:i + step] @ A > b).any():
+                raise ValueError("point violates a subset inequality")
 
 
 def global_sections(z: BooleanFunction) -> SectionBasis:

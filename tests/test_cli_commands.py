@@ -153,6 +153,27 @@ def test_check_bytes_are_pinned(monkeypatch, capsys):
     assert run_bytes(monkeypatch, capsys, CHECK_ARGV, {}) == PINNED_CHECK
 
 
+class OpenPipe(io.StringIO):
+    """A stdin whose writer has not closed it: reading would block, so a
+    read fails the test instead."""
+
+    def read(self, *args):
+        raise AssertionError("stdin was read")
+
+
+SIZE_COMMANDS = [words for words, command in cli_mod.COMMANDS.items() if "ground" in command.keys]
+
+
+@pytest.mark.parametrize("words", SIZE_COMMANDS, ids=" ".join)
+def test_size_leaves_stdin_unread(monkeypatch, capsys, words):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"ground": [1, 2]})))
+    assert cli_mod.main([*words, *JSON]) == 0
+    from_stdin = capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", OpenPipe())
+    assert cli_mod.main([*words, *JSON, "--size", "2"]) == 0
+    assert capsys.readouterr() == from_stdin
+
+
 def test_every_subcommand_has_a_pinned_request():
     assert set(REQUESTS) == set(PINNED) == {w for w in cli_mod.COMMANDS if len(w) == 2}
 

@@ -1,5 +1,5 @@
-"""Preposets stored as transitive pair relations, the augmented family with
-its absorbing bottom, and the product/coproduct pair."""
+"""Preposets stored as transitive relations in row masks, the augmented
+family with its absorbing bottom, and the product/coproduct pair."""
 import itertools
 
 import pytest
@@ -236,7 +236,7 @@ def label_split_admissible(p, S, T):
     two_block = Composition.of([blk for blk in (S, T) if blk])
     if set(two_block.ground.labels) != set(p.ground.labels):
         raise ValueError("S,T do not decompose the ground set")
-    return p.mask & ~total_of_composition(two_block).mask == 0
+    return p.pairs <= total_of_composition(two_block).pairs
 
 
 SPLIT_GROUNDS = [GroundSet.of(range(1, n + 1)) for n in range(5)] + [
@@ -290,7 +290,7 @@ class TestMaskSplits:
 def scan_upward_masks(p):
     """The per-mask scan that upward_masks replaced: keep S when no label
     outside S is related to a label of S."""
-    rows = preposet._rows(p)
+    rows = p.rows
     return tuple(
         S for S in range(1, (1 << len(rows)) - 1)
         if not any(r & S for t, r in enumerate(rows) if not S >> t & 1)
@@ -411,3 +411,106 @@ class TestRowOps:
         monkeypatch.setattr(preposet, "gather_bits", preposet.scatter_bits)
         names = {name for name, _ in row_mismatches()}
         assert {"restrict", "relabel"} <= names
+
+
+# ---------------------------------------------------------------------------
+# the rows format: differential checks against the n*n grid bitmask that
+# stored a preposet before (bit i*n + j set iff labels[i] is related to
+# labels[j]), its definitions copied in as oracles
+
+
+def grid_transitive(mask, n):
+    return all(
+        mask >> i * n + k & 1
+        for i in range(n) for j in range(n) for k in range(n)
+        if i != k and mask >> i * n + j & 1 and mask >> j * n + k & 1
+    )
+
+
+def grid_list(n):
+    """The grid masks of every preposet on n labels, in enumeration order."""
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out = []
+    for bits in range(1 << len(cells)):
+        mask = sum(1 << i * n + j for k, (i, j) in enumerate(cells) if bits >> k & 1)
+        if grid_transitive(mask, n):
+            out.append(mask)
+    return out
+
+
+def grid_from_pairs(ground, pairs):
+    n = len(ground)
+    return sum(1 << ground.index(a) * n + ground.index(b) for a, b in set(pairs))
+
+
+def grid_has(ground, mask, a, b):
+    n = len(ground)
+    return bool(mask >> ground.index(a) * n + ground.index(b) & 1)
+
+
+def grid_pairs(ground, mask):
+    n = len(ground)
+    labels = ground.labels
+    return frozenset(
+        (labels[i], labels[j]) for i in range(n) for j in range(n) if mask >> i * n + j & 1
+    )
+
+
+def grid_complete(n):
+    return sum(1 << i * n + j for i in range(n) for j in range(n) if i != j)
+
+
+def grid_mismatches():
+    """The names of the operations that disagree with the grid definitions
+    somewhere on SPLIT_GROUNDS: preposet i of the enumeration is matched with
+    grid mask i of the grid scan."""
+    bad = set()
+    for ground in SPLIT_GROUNDS:
+        labels = ground.labels
+        masks = grid_list(len(ground))
+        ps = list(enumerate_preposets(ground))
+        if len(ps) != len(masks):
+            bad.add("enumeration")
+        for p, m in zip(ps, masks):
+            if Preposet.from_pairs(ground, grid_pairs(ground, m)) != p:
+                bad.add("enumeration")
+            if p.pairs != grid_pairs(ground, m):
+                bad.add("pairs")
+            if grid_from_pairs(ground, p.pairs) != m:
+                bad.add("from_pairs")
+            if any(p.has(a, b) != grid_has(ground, m, a, b) for a in labels for b in labels):
+                bad.add("has")
+            for q, mq in zip(ps, masks):
+                if preposet_leq(q, p) != (m & ~mq == 0):
+                    bad.add("leq")
+        if grid_from_pairs(ground, Preposet.antichain(ground).pairs) != 0:
+            bad.add("antichain")
+        if grid_from_pairs(ground, Preposet.complete(ground).pairs) != grid_complete(len(ground)):
+            bad.add("complete")
+    return bad
+
+
+class TestRowsFormat:
+    def test_operations_match_the_grid_definitions(self):
+        assert grid_mismatches() == set()
+
+    def test_oracle_catches_a_transposed_has(self, monkeypatch):
+        def transposed(self, a, b):
+            return bool(self.rows[self.ground.index(b)] >> self.ground.index(a) & 1)
+
+        monkeypatch.setattr(Preposet, "has", transposed)
+        assert grid_mismatches() == {"has"}
+
+    @pytest.mark.parametrize("rows, message", [
+        ([0, 0, 0], "tuple of ints"),
+        ((0, 0, 0.0), "tuple of ints"),
+        ((0, 0), "2 rows for 3 labels"),
+        ((0, 0, 0, 0), "4 rows for 3 labels"),
+        ((0b1000, 0, 0), "outside the grid"),
+        ((-1, 0, 0), "outside the grid"),
+        ((0, 0b010, 0), "diagonal"),
+        ((0b010, 0b100, 0), "not transitive"),
+    ])
+    def test_malformed_rows_rejected(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            Preposet(GroundSet.of([1, 2, 3]), rows)

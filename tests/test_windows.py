@@ -271,6 +271,20 @@ class TestDifferential:
         with pytest.raises(ValueError, match="subset inequality"):
             global_sections(perm_bf(4))
 
+    def test_basis_validation_reaches_the_last_row_chunk(self, monkeypatch):
+        z = perm_bf(4)
+        rows = global_sections(z).points.rows
+        # 14 subset inequalities: three rows per chunk
+        monkeypatch.setattr(_kernels, "FILTER_CELLS", 3 * 14)
+        assert SectionBasis(z, PointSet(z.ground, rows, AffinePoint)).points == tuple(
+            global_sections(z).points
+        )
+        # the lexicographically last row has h_1 = z({1}); raising h_1 breaks
+        # that inequality, in the last chunk only
+        bad = rows[-1] + np.array([1, 0, 0, -1])
+        with pytest.raises(ValueError, match="subset inequality"):
+            SectionBasis(z, PointSet(z.ground, np.vstack([rows, bad]), AffinePoint))
+
 
 def integer_tables(n):
     """Arbitrary integer subset functions: z(empty) = 0, nothing else fixed."""
