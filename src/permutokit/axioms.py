@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .boolfun import BooleanFunction, bf_comul, bf_mul, relabel_bf
-from .points import PermPoint, point_comul, point_mul, point_relabel
+from .points import PermPoint, _normalized, point_comul, point_mul, point_relabel
 from .preposet import (
     Bottom,
     enumerate_aug_preposets,
@@ -31,7 +31,9 @@ from .setcomp import (
     Composition,
     GroundSet,
     Perm,
+    _bijection,
     _comps,
+    _unchecked,
     coarsening_runs,
     concatenate,
     hat_beta,
@@ -88,7 +90,7 @@ def lift_mul(inst, F: Composition, G: Composition, elems, rng=None):
     if len(elems) != F.length():
         raise ValueError("one element per lump of F required")
     for e, lump in zip(elems, F.lumps):
-        if e.ground != GroundSet.of(lump):
+        if e.ground.labels != lump:  # lumps are in canonical order
             raise ValueError("element over the wrong ground set")
     out = []
     for run in runs:
@@ -123,7 +125,7 @@ def lift_comul(inst, F: Composition, G: Composition, elems, rng=None):
         raise ValueError("one element per lump of G required")
     out = []
     for e, T, run in zip(elems, G.lumps, runs):
-        if e.ground != GroundSet.of(T):
+        if e.ground.labels != T:
             raise ValueError("element over the wrong ground set")
         out.extend(_split(inst, e, [F.lumps[i] for i in run], rng))
     return tuple(out)
@@ -206,7 +208,7 @@ def zero_absorption_holds(inst, y, S_zero) -> bool:
 def _matching_perm(source: Composition, target: Composition) -> Perm:
     """The permutation sending each lump of source to its position in target;
     both must have the same lump multiset."""
-    return Perm(tuple(target.lumps.index(L) + 1 for L in source.lumps))
+    return _unchecked(Perm, images=tuple(target.lumps.index(L) + 1 for L in source.lumps))
 
 
 def _permute_tuple(beta: Perm, elems) -> tuple:
@@ -285,18 +287,18 @@ def _random_coarsening(F: Composition, rng) -> Composition:
         if i == F.length() - 1 or rng.random() < 0.5:
             lumps.append(sorted_labels(cur))
             cur = []
-    return Composition(F.ground, tuple(lumps))
+    return _unchecked(Composition, ground=F.ground, lumps=tuple(lumps))
 
 
 def _random_bijection(ground: GroundSet, rng) -> Bijection:
     images = list(ground.labels)
     rng.shuffle(images)
-    return Bijection(ground, ground, tuple(zip(ground.labels, images)))
+    return _bijection(ground, ground, images)
 
 
 def _all_bijections(ground: GroundSet):
     for images in itertools.permutations(ground.labels):
-        yield Bijection(ground, ground, tuple(zip(ground.labels, images)))
+        yield _bijection(ground, ground, images)
 
 
 def _one(inst, labels, rng):
@@ -391,7 +393,8 @@ def check_all(
             F, G = coarsening()
             images = list(range(1, G.length() + 1))
             rng.shuffle(images)
-            return F, G, Perm(tuple(images)), _tuple_over(inst, G if lift_over_G else F, rng)
+            beta = _unchecked(Perm, images=tuple(images))
+            return F, G, beta, _tuple_over(inst, G if lift_over_G else F, rng)
 
         return sampled(draw)
 
@@ -484,8 +487,8 @@ def o_bullet_instance() -> BimonoidInstance:
 
 def _random_bf(ground: GroundSet, rng) -> BooleanFunction:
     n = len(ground)
-    vals = [0] + [rng.randint(-4, 4) for _ in range((1 << n) - 1)]
-    return BooleanFunction(ground, tuple(vals))
+    vals = (0, *(rng.randint(-4, 4) for _ in range((1 << n) - 1)))
+    return _unchecked(BooleanFunction, ground=ground, values=vals)
 
 
 def bf_instance() -> BimonoidInstance:
@@ -504,11 +507,11 @@ def bf_instance() -> BimonoidInstance:
 
 def random_point(ground: GroundSet, rng) -> PermPoint:
     orbit = _random_composition(ground, rng)
-    coords = {
-        x: Fraction(rng.choice([1, -1]) * rng.randint(1, 5), rng.randint(1, 5))
-        for x in ground.labels
-    }
-    return PermPoint.of(orbit, coords)
+    coords = tuple(
+        Fraction(rng.choice([1, -1]) * rng.randint(1, 5), rng.randint(1, 5))
+        for _ in ground.labels
+    )
+    return _unchecked(PermPoint, orbit=orbit, coords=_normalized(orbit, coords))
 
 
 def points_instance() -> BimonoidInstance:

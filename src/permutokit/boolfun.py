@@ -15,12 +15,18 @@ from .setcomp import (
     Composition,
     GroundSet,
     _mask_sum,
-    _split_blocks,
-    gather_bits,
-    scatter_bits,
+    _split_masks,
+    _unchecked,
+    scatter_table,
+    set_bits,
 )
 
 _SIZE_CAP = 12
+
+
+def _check_size(n: int) -> None:
+    if n > _SIZE_CAP:
+        raise ValueError(f"ground sets capped at {_SIZE_CAP} labels")
 
 
 @dataclass(frozen=True)
@@ -30,8 +36,7 @@ class BooleanFunction:
 
     def __post_init__(self):
         n = len(self.ground)
-        if n > _SIZE_CAP:
-            raise ValueError(f"ground sets capped at {_SIZE_CAP} labels")
+        _check_size(n)
         if len(self.values) != 1 << n:
             raise ValueError("dense value table has the wrong size")
         if self.values[0] != 0:
@@ -44,7 +49,8 @@ class BooleanFunction:
 
     @staticmethod
     def zero(ground: GroundSet) -> "BooleanFunction":
-        return BooleanFunction(ground, (0,) * (1 << len(ground)))
+        _check_size(len(ground))
+        return _unchecked(BooleanFunction, ground=ground, values=(0,) * (1 << len(ground)))
 
     def value(self, A: Iterable) -> int:
         return self.values[self.ground.mask(A)]
@@ -58,13 +64,15 @@ def hei(z: BooleanFunction) -> int:
 def bf_mul(z1: BooleanFunction, z2: BooleanFunction) -> BooleanFunction:
     """(z1|z2)(A) = z1(A ∩ S) + z2(A ∩ T) over the disjoint union."""
     ground = z1.ground.union(z2.ground)  # raises on overlap
-    pos1 = ground.positions(z1.ground.labels)
-    pos2 = ground.positions(z2.ground.labels)
-    vals = (
-        z1.values[gather_bits(m, pos1)] + z2.values[gather_bits(m, pos2)]
-        for m in range(1 << len(ground))
-    )
-    return BooleanFunction(ground, tuple(vals))
+    _check_size(len(ground))
+    table1 = scatter_table(ground.positions(z1.ground.labels))
+    table2 = scatter_table(ground.positions(z2.ground.labels))
+    vals = [0] * (1 << len(ground))
+    # each subset A of the union is one A ∩ S (a) joined with one A ∩ T (b)
+    for a, v in zip(table1, z1.values):
+        for b, w in zip(table2, z2.values):
+            vals[a | b] = v + w
+    return _unchecked(BooleanFunction, ground=ground, values=tuple(vals))
 
 
 def bf_comul(
@@ -75,16 +83,11 @@ def bf_comul(
     The S half is plain restriction; the T half is the shifted restriction
     A ↦ z(A ⊔ S) − z(S).
     """
-    S, T = _split_blocks(z.ground, S, T)
-    maskS = z.ground.mask(S)
+    S, T = _split_masks(z.ground, S, T)
     halves = []
-    for blk, base in ((S, 0), (T, maskS)):
-        pos = z.ground.positions(blk)
-        vals = (
-            z.values[scatter_bits(m, pos) | base] - z.values[base]
-            for m in range(1 << len(blk))
-        )
-        halves.append(BooleanFunction(GroundSet(blk), tuple(vals)))
+    for blk, base in ((S, 0), (T, S)):
+        vals = tuple(z.values[A | base] - z.values[base] for A in scatter_table(set_bits(blk)))
+        halves.append(_unchecked(BooleanFunction, ground=z.ground.sub(blk), values=vals))
     return halves[0], halves[1]
 
 
@@ -153,6 +156,5 @@ def relabel_bf(sigma: Bijection, z: BooleanFunction) -> BooleanFunction:
     """Pull back along a bijection: the value at A is the value at sigma(A)."""
     if sigma.target != z.ground:
         raise ValueError("bijection target does not match the ground set")
-    pos = z.ground.positions(b for _, b in sigma.pairs)
-    vals = (z.values[scatter_bits(m, pos)] for m in range(1 << len(pos)))
-    return BooleanFunction(sigma.source, tuple(vals))
+    vals = tuple(z.values[A] for A in scatter_table(sigma.positions))
+    return _unchecked(BooleanFunction, ground=sigma.source, values=vals)

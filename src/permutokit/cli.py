@@ -32,6 +32,7 @@ from .plates import (
 )
 from .points import evaluate, point_comul, point_mul, point_relabel
 from .preposet import (
+    _ENUM_CAP,
     composition_of_total,
     enumerate_aug_preposets,
     enumerate_preposets,
@@ -176,6 +177,12 @@ def _pullback(args, F, U) -> dict:
 
 
 def _check(args) -> dict:
+    # The harness samples compositions from the full list of the ground's
+    # (axioms._random_composition) and o-bullet enumerates its preposets,
+    # so a size past these caps would run for minutes before any law failed.
+    cap = _ENUM_CAP if args.instance == "o-bullet" else _COMP_CAP
+    if args.size > cap:
+        raise ValueError(f"check {args.instance} is capped at --size {cap}, got {args.size}")
     ground = _ground_of_size(args.size)
     budget = _count(args.budget, "--budget")
     inst = INSTANCES[args.instance]()

@@ -29,7 +29,7 @@ from .preposet import (
     split_admissible,
     upward_masks,
 )
-from .setcomp import GroundSet, _mask_sum, _split_blocks
+from .setcomp import GroundSet, _mask_sum, _split_blocks, _unchecked
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,6 @@ def restricted(h, ground: GroundSet) -> tuple:
     return tuple(h.coords[k] for k in h.ground.positions(ground.labels))
 
 
-def _unchecked(kind: type, ground: GroundSet, coords: tuple):
-    """A point of class kind built without running its validation; only for
-    rows a PointSet has already validated."""
-    h = object.__new__(kind)
-    h.__dict__.update(ground=ground, coords=coords)
-    return h
-
-
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """An ordered set of integer points on one ground set, stored as rows.
@@ -156,12 +148,12 @@ class PointSet:
     def __iter__(self) -> Iterator:
         kind, ground = self.kind, self.ground
         for row in self.rows.tolist():
-            yield _unchecked(kind, ground, tuple(row))
+            yield _unchecked(kind, ground=ground, coords=tuple(row))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return PointSet(self.ground, self.rows[i], self.kind)
-        return _unchecked(self.kind, self.ground, tuple(self.rows[i].tolist()))
+        return _unchecked(self.kind, ground=self.ground, coords=tuple(self.rows[i].tolist()))
 
     def __contains__(self, h) -> bool:
         if type(h) is not self.kind or h.ground != self.ground:

@@ -19,6 +19,7 @@ from .setcomp import (
     Composition,
     GroundSet,
     _split_blocks,
+    _unchecked,
     concatenate,
     refines,
     relabel,
@@ -47,17 +48,10 @@ class PermPoint:
     @staticmethod
     def of(orbit: Composition, mapping) -> "PermPoint":
         """Build from raw scalars, normalizing each lump."""
-        raw = {x: Fraction(mapping[x]) for x in orbit.ground.labels}
-        coords = {}
-        for lump in orbit.lumps:
-            base = raw[lump[0]]
-            if base == 0:
-                raise ValueError("coordinates must be nonzero")
-            for x in lump:
-                coords[x] = raw[x] / base
-        return PermPoint(
-            orbit, tuple(coords[x] for x in orbit.ground.labels)
-        )
+        raw = tuple(Fraction(mapping[x]) for x in orbit.ground.labels)
+        if any(raw[orbit.ground.index(lump[0])] == 0 for lump in orbit.lumps):
+            raise ValueError("coordinates must be nonzero")
+        return PermPoint(orbit, _normalized(orbit, raw))
 
     @property
     def ground(self) -> GroundSet:
@@ -67,11 +61,23 @@ class PermPoint:
         return self.coords[self.orbit.ground.index(x)]
 
 
+def _normalized(orbit: Composition, coords: tuple) -> tuple:
+    """The coordinates of a point of orbit, given as nonzero Fractions in the
+    ground's canonical order, with each lump divided by its least label's."""
+    out, index = list(coords), orbit.ground.index
+    for lump in orbit.lumps:
+        base = out[index(lump[0])]
+        if base != 1:
+            for x in lump:
+                out[index(x)] /= base
+    return tuple(out)
+
+
 def point_mul(x1: PermPoint, x2: PermPoint) -> PermPoint:
     """Concatenate orbits and juxtapose scalars; lumps are unchanged, so the
     normalization carries over."""
     orbit = concatenate(x1.orbit, x2.orbit)  # raises on overlap
-    return PermPoint(orbit, juxtaposed(orbit.ground, (x1, x2)))
+    return _unchecked(PermPoint, orbit=orbit, coords=juxtaposed(orbit.ground, (x1, x2)))
 
 
 def point_comul(
@@ -83,8 +89,8 @@ def point_comul(
     halves = []
     for blk in (S, T):
         orbit = restrict(x.orbit, blk)
-        coords = restricted(x, orbit.ground)
-        halves.append(PermPoint.of(orbit, dict(zip(orbit.ground.labels, coords))))
+        coords = _normalized(orbit, restricted(x, orbit.ground))
+        halves.append(_unchecked(PermPoint, orbit=orbit, coords=coords))
     return halves[0], halves[1]
 
 
@@ -117,4 +123,5 @@ def point_relabel(sigma: Bijection, x: PermPoint) -> PermPoint:
     if sigma.target != x.ground:
         raise ValueError("bijection target does not match the ground set")
     orbit = relabel(sigma, x.orbit)
-    return PermPoint.of(orbit, {a: x.coord(b) for a, b in sigma.pairs})
+    coords = _normalized(orbit, tuple(x.coords[k] for k in sigma.positions))
+    return _unchecked(PermPoint, orbit=orbit, coords=coords)

@@ -11,6 +11,7 @@ of q, so the antichain (empty relation) is the top element.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
@@ -19,10 +20,12 @@ from .setcomp import (
     Bijection,
     Composition,
     GroundSet,
-    _split_blocks,
+    _restriction_mask,
     _split_masks,
+    _unchecked,
     gather_bits,
     scatter_bits,
+    set_bits,
 )
 
 
@@ -74,12 +77,13 @@ class Preposet:
 
     @staticmethod
     def antichain(ground: GroundSet) -> "Preposet":
-        return Preposet(ground, (0,) * len(ground))
+        return _unchecked(Preposet, ground=ground, rows=(0,) * len(ground))
 
     @staticmethod
     def complete(ground: GroundSet) -> "Preposet":
         full = (1 << len(ground)) - 1
-        return Preposet(ground, tuple(full ^ 1 << i for i in range(len(ground))))
+        rows = tuple(full ^ 1 << i for i in range(len(ground)))
+        return _unchecked(Preposet, ground=ground, rows=rows)
 
     def has(self, a, b) -> bool:
         return bool(self.rows[self.ground.index(a)] >> self.ground.index(b) & 1)
@@ -122,18 +126,21 @@ def preposet_leq(q: AugPreposet, p: AugPreposet) -> bool:
     return not any(r & ~s for r, s in zip(p.rows, q.rows))
 
 
-def _induced(p: Preposet, ground: GroundSet, pos: list[int]) -> Preposet:
+def _induced(p: Preposet, ground: GroundSet, pos) -> Preposet:
     """The relation of p read on ground, whose k-th label stands for the
     label of p at position pos[k]: one gather of the rows at pos."""
-    return Preposet(ground, tuple(gather_bits(p.rows[i], pos) for i in pos))
+    rows = tuple(gather_bits(p.rows[i], pos) for i in pos)
+    return _unchecked(Preposet, ground=ground, rows=rows)
+
+
+def _restricted(p: Preposet, S: int) -> Preposet:
+    """p restricted to the labels at the set bits of S."""
+    return _induced(p, p.ground.sub(S), set_bits(S))
 
 
 def restrict_preposet(p: Preposet, S: Iterable) -> Preposet:
-    S = set(S)
-    if not S <= set(p.ground.labels):
-        raise ValueError("S is not a subset of the ground set")
-    ground = GroundSet.of(S)
-    return _induced(p, ground, p.ground.positions(ground.labels))
+    """ValueError when S leaves the ground set or names a label twice."""
+    return _restricted(p, _restriction_mask(p.ground, S))
 
 
 def o_mul(p: AugPreposet, q: AugPreposet) -> AugPreposet:
@@ -146,7 +153,7 @@ def o_mul(p: AugPreposet, q: AugPreposet) -> AugPreposet:
         pos = ground.positions(part.ground.labels)
         for i, r in zip(pos, part.rows):
             rows[i] = scatter_bits(r, pos)
-    return Preposet(ground, tuple(rows))
+    return _unchecked(Preposet, ground=ground, rows=tuple(rows))
 
 
 def _closed_upward(rows: tuple[int, ...], S: int) -> bool:
@@ -165,11 +172,10 @@ def o_comul(
     p: AugPreposet, S: Iterable, T: Iterable
 ) -> tuple[AugPreposet, AugPreposet]:
     """Restrict to both blocks when (S,T) <= p, else a pair of bottoms."""
-    S, T = _split_blocks(p.ground, S, T)
-    gS, gT = GroundSet.of(S), GroundSet.of(T)
-    if is_bottom(p) or not split_admissible(p, S, T):
-        return Bottom(gS), Bottom(gT)
-    return restrict_preposet(p, S), restrict_preposet(p, T)
+    S, T = _split_masks(p.ground, S, T)
+    if is_bottom(p) or not _closed_upward(p.rows, S):
+        return Bottom(p.ground.sub(S)), Bottom(p.ground.sub(T))
+    return _restricted(p, S), _restricted(p, T)
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +188,7 @@ def total_of_composition(F: Composition) -> Preposet:
         later |= F.ground.mask(lump)
         for i in F.ground.positions(lump):
             rows[i] = later & ~(1 << i)
-    return Preposet(F.ground, tuple(rows))
+    return _unchecked(Preposet, ground=F.ground, rows=tuple(rows))
 
 
 def is_total(p: Preposet) -> bool:
@@ -197,8 +203,8 @@ def composition_of_total(p: Preposet) -> Composition:
     # the masks of the labels in or after each label's lump: a chain of
     # subsets, so decreasing as integers, and consecutive ones differ by a lump
     tails = sorted({r | 1 << i for i, r in enumerate(p.rows)}, reverse=True)
-    lumps = (p.ground.subset(a & ~b) for a, b in zip(tails, tails[1:] + [0]))
-    return Composition(p.ground, tuple(lumps))
+    lumps = tuple(p.ground.subset(a & ~b) for a, b in zip(tails, tails[1:] + [0]))
+    return _unchecked(Composition, ground=p.ground, lumps=lumps)
 
 
 @lru_cache(maxsize=None)
@@ -230,7 +236,7 @@ def relabel_preposet(sigma: Bijection, p: AugPreposet) -> AugPreposet:
         raise ValueError("bijection target does not match the ground set")
     if is_bottom(p):
         return Bottom(sigma.source)
-    return _induced(p, sigma.source, p.ground.positions(b for _, b in sigma.pairs))
+    return _induced(p, sigma.source, sigma.positions)
 
 
 _ENUM_CAP = 5
@@ -250,7 +256,7 @@ def _preposet_list(ground: GroundSet) -> tuple[Preposet, ...]:
             if bits >> k & 1:
                 rows[i] |= 1 << j
         if _transitive(rows):
-            out.append(Preposet(ground, tuple(rows)))
+            out.append(_unchecked(Preposet, ground=ground, rows=tuple(rows)))
     return tuple(out)
 
 
@@ -261,5 +267,4 @@ def enumerate_preposets(ground: GroundSet) -> Iterator[Preposet]:
 
 def enumerate_aug_preposets(ground: GroundSet) -> Iterator[AugPreposet]:
     """Bottom first, then every preposet."""
-    yield Bottom(ground)
-    yield from enumerate_preposets(ground)
+    return itertools.chain((Bottom(ground),), _preposet_list(ground))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any, Iterable, Iterator, Optional
 
 Label = Any
@@ -25,15 +25,39 @@ def sorted_labels(labels: Iterable[Label]) -> tuple:
     return tuple(sorted(labels, key=label_key))
 
 
+def _unchecked(kind: type, **fields):
+    """An instance of the frozen dataclass kind built without running its
+    __post_init__: only for values an internal operation derived from
+    validated ones. Public constructors and JSON decoding validate."""
+    obj = object.__new__(kind)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def gather_bits(m: int, pos) -> int:
     """Bit k of the result is bit pos[k] of m: a subset of a ground set read
     on the sub-ground whose k-th label sits at position pos[k]."""
     return sum(1 << k for k, p in enumerate(pos) if m >> p & 1)
 
 
+def set_bits(m: int) -> list[int]:
+    """The positions of the set bits of m, increasing: the pos of the
+    sub-ground m names, for gather_bits and scatter_bits."""
+    return [k for k in range(m.bit_length()) if m >> k & 1]
+
+
 def scatter_bits(m: int, pos) -> int:
     """Bit pos[k] of the result is bit k of m: the inverse of gather_bits."""
     return sum(1 << p for k, p in enumerate(pos) if m >> k & 1)
+
+
+def scatter_table(pos) -> list[int]:
+    """scatter_bits(m, pos) for every m below 2^len(pos), in order: each
+    position doubles the table, as bit k of m doubles the count below it."""
+    table = [0]
+    for p in pos:
+        table += [s | 1 << p for s in table]
+    return table
 
 
 def _mask_sum(coords, m: int):
@@ -62,19 +86,27 @@ def _split_masks(ground: GroundSet, S: Iterable[Label], T: Iterable[Label]) -> t
 
 @dataclass(frozen=True)
 class GroundSet:
-    """A finite set of distinct atoms in a fixed canonical order."""
+    """A finite set of distinct atoms in a fixed canonical order.
+
+    GroundSet.of interns: while a label set stays in its bounded cache, every
+    call with those labels, in any order, returns the one shared instance.
+    """
 
     labels: tuple
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
+        index = {x: k for k, x in enumerate(self.labels)}
+        if len(index) != len(self.labels):
             raise ValueError(f"duplicate labels in {self.labels!r}")
         if self.labels != sorted_labels(self.labels):
             raise ValueError(f"labels not in canonical order: {self.labels!r}")
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_subs", {})
 
     @staticmethod
     def of(labels: Iterable[Label]) -> "GroundSet":
-        return GroundSet(sorted_labels(labels))
+        labels = tuple(labels)
+        return _interned(labels, tuple(map(type, labels)))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -89,8 +121,8 @@ class GroundSet:
         """The canonical position of x. ValueError naming x when it is
         outside the ground set."""
         try:
-            return self.labels.index(x)
-        except ValueError:
+            return self._index[x]
+        except (KeyError, TypeError):  # TypeError: an unhashable x
             raise ValueError(f"label {x!r} is not in the ground set") from None
 
     def positions(self, labels: Iterable[Label]) -> list[int]:
@@ -110,13 +142,39 @@ class GroundSet:
         """The labels whose bits are set in mask, in canonical order."""
         return tuple(x for k, x in enumerate(self.labels) if mask >> k & 1)
 
+    def sub(self, mask: int) -> "GroundSet":
+        """The ground set of subset(mask), kept on this ground for the next
+        call with the same mask."""
+        try:
+            return self._subs[mask]
+        except KeyError:
+            g = self._subs[mask] = GroundSet.of(self.subset(mask))
+            return g
+
     def union(self, other: "GroundSet") -> "GroundSet":
-        if set(self.labels) & set(other.labels):
+        if not self._index.keys().isdisjoint(other.labels):
             raise ValueError("ground sets overlap")
         return GroundSet.of(self.labels + other.labels)
 
 
-EMPTY_GROUND = GroundSet(())
+# Distinct label sets kept interned; past this many the least recently used
+# is dropped, and a later GroundSet.of builds (and validates) it afresh.
+_GROUND_CACHE = 4096
+
+
+@lru_cache(maxsize=_GROUND_CACHE)
+def _interned(labels: tuple, types: tuple) -> GroundSet:
+    """The shared ground set of labels, given in any order. The label types
+    are part of the key because labels of different types can compare equal
+    ((True,) == (1,)). A label set that fails validation raises here and so
+    is never cached."""
+    canon = sorted_labels(labels)
+    if canon != labels:
+        return _interned(canon, tuple(map(type, canon)))
+    return GroundSet(labels)
+
+
+EMPTY_GROUND = GroundSet.of(())
 
 
 @dataclass(frozen=True)
@@ -155,13 +213,12 @@ class Composition:
 
     @staticmethod
     def one_lump(ground: GroundSet) -> "Composition":
-        if len(ground) == 0:
-            return Composition(ground, ())
-        return Composition(ground, (ground.labels,))
+        lumps = (ground.labels,) if ground.labels else ()
+        return _unchecked(Composition, ground=ground, lumps=lumps)
 
     @staticmethod
     def empty() -> "Composition":
-        return Composition(EMPTY_GROUND, ())
+        return Composition.one_lump(EMPTY_GROUND)
 
     def length(self) -> int:
         return len(self.lumps)
@@ -183,6 +240,8 @@ class Bijection:
     """A bijection source -> target between ground sets.
 
     Stored as pairs sorted by source label; callable on source labels.
+    `positions`, entry k the target index of the image of source.labels[k],
+    gives the same map by canonical index, which is what relabeling reads.
     """
 
     source: GroundSet
@@ -196,6 +255,7 @@ class Bijection:
             raise ValueError("map is not total on the source in canonical order")
         if sorted_labels(tgts) != self.target.labels or len(set(tgts)) != len(tgts):
             raise ValueError("map is not a bijection onto the target")
+        object.__setattr__(self, "positions", tuple(self.target.positions(tgts)))
 
     @staticmethod
     def of(mapping: dict) -> "Bijection":
@@ -205,28 +265,48 @@ class Bijection:
         return Bijection(source, target, pairs)
 
     @staticmethod
+    def _of(mapping: dict) -> "Bijection":
+        """Bijection.of without validation, for a mapping derived from a
+        validated bijection: injective, with distinct labels."""
+        source = GroundSet.of(mapping.keys())
+        images = [mapping[a] for a in source.labels]
+        return _bijection(source, GroundSet.of(mapping.values()), images)
+
+    @staticmethod
     def identity(ground: GroundSet) -> "Bijection":
-        return Bijection(ground, ground, tuple((x, x) for x in ground.labels))
+        return _bijection(ground, ground, ground.labels)
 
     def __call__(self, x: Label) -> Label:
-        for a, b in self.pairs:
-            if a == x:
-                return b
-        raise KeyError(x)
+        k = self.source._index.get(x)
+        if k is None:
+            raise KeyError(x)
+        return self.target.labels[self.positions[k]]
+
+    @cached_property
+    def _inverse(self) -> "Bijection":
+        return Bijection._of({b: a for a, b in self.pairs})
 
     def inverse(self) -> "Bijection":
-        return Bijection.of({b: a for a, b in self.pairs})
+        return self._inverse
 
     def compose(self, inner: "Bijection") -> "Bijection":
         """self after inner: (self.compose(inner))(x) = self(inner(x))."""
         if inner.target != self.source:
             raise ValueError("bijections do not compose")
-        return Bijection.of({a: self(b) for a, b in inner.pairs})
+        return Bijection._of({a: self(b) for a, b in inner.pairs})
 
     def restricted(self, targets: Iterable[Label]) -> "Bijection":
         """The restriction onto a subset of the target."""
         targets = set(targets)
-        return Bijection.of({a: b for a, b in self.pairs if b in targets})
+        return Bijection._of({a: b for a, b in self.pairs if b in targets})
+
+
+def _bijection(source: GroundSet, target: GroundSet, images) -> Bijection:
+    """The bijection sending source.labels[k] to images[k], a label of
+    target, built without validation."""
+    pairs = tuple(zip(source.labels, images))
+    positions = tuple(target.positions(images))
+    return _unchecked(Bijection, source=source, target=target, pairs=pairs, positions=positions)
 
 
 @dataclass(frozen=True)
@@ -242,7 +322,7 @@ class Perm:
 
     @staticmethod
     def identity(k: int) -> "Perm":
-        return Perm(tuple(range(1, k + 1)))
+        return _unchecked(Perm, images=tuple(range(1, k + 1)))
 
     @property
     def degree(self) -> int:
@@ -255,13 +335,13 @@ class Perm:
         inv = [0] * self.degree
         for m, im in enumerate(self.images, start=1):
             inv[im - 1] = m
-        return Perm(tuple(inv))
+        return _unchecked(Perm, images=tuple(inv))
 
     def compose(self, inner: "Perm") -> "Perm":
         """self after inner."""
         if inner.degree != self.degree:
             raise ValueError("degree mismatch")
-        return Perm(tuple(self(inner(m)) for m in range(1, self.degree + 1)))
+        return _unchecked(Perm, images=tuple(self(inner(m)) for m in range(1, self.degree + 1)))
 
 
 def _check_same_ground(F: Composition, G: Composition) -> None:
@@ -269,21 +349,38 @@ def _check_same_ground(F: Composition, G: Composition) -> None:
         raise ValueError("ground sets differ")
 
 
+def _restriction_mask(ground: GroundSet, S: Iterable[Label]) -> int:
+    """The bitmask of a restriction set S; ValueError when S leaves the
+    ground set or names a label twice."""
+    m = 0
+    for x in S:
+        try:
+            bit = 1 << ground.index(x)
+        except ValueError:
+            raise ValueError("S is not a subset of the ground set") from None
+        if m & bit:
+            raise ValueError(f"S names label {x!r} twice")
+        m |= bit
+    return m
+
+
+def _meet(lumps: tuple, S) -> list:
+    """Each lump intersected with S, in order, empties deleted. Lumps are in
+    canonical order, so their intersections are too."""
+    out = (tuple(x for x in lump if x in S) for lump in lumps)
+    return [lump for lump in out if lump]
+
+
 def restrict(H: Composition, S: Iterable[Label]) -> Composition:
     """Restriction H|_S: intersect each lump with S, deleting empties."""
-    S = set(S)
-    if not S <= set(H.ground.labels):
-        raise ValueError("S is not a subset of the ground set")
-    lumps = tuple(
-        sorted_labels(x for x in lump if x in S) for lump in H.lumps
-    )
-    return Composition(GroundSet.of(S), tuple(l for l in lumps if l))
+    ground = H.ground.sub(_restriction_mask(H.ground, S))
+    return _unchecked(Composition, ground=ground, lumps=tuple(_meet(H.lumps, ground._index)))
 
 
 def concatenate(H: Composition, K: Composition) -> Composition:
     """Concatenation H;K over the disjoint union of grounds."""
     ground = H.ground.union(K.ground)  # raises on overlap
-    return Composition(ground, H.lumps + K.lumps)
+    return _unchecked(Composition, ground=ground, lumps=H.lumps + K.lumps)
 
 
 def tits_product(F: Composition, G: Composition) -> Composition:
@@ -291,8 +388,8 @@ def tits_product(F: Composition, G: Composition) -> Composition:
     _check_same_ground(F, G)
     lumps: list[tuple] = []
     for S in F.lumps:
-        lumps.extend(restrict(G, S).lumps)
-    return Composition(F.ground, tuple(lumps))
+        lumps += _meet(G.lumps, set(S))
+    return _unchecked(Composition, ground=F.ground, lumps=tuple(lumps))
 
 
 def coarsening_runs(F: Composition, G: Composition) -> Optional[list[range]]:
@@ -320,11 +417,9 @@ def relabel(sigma: Bijection, F: Composition) -> Composition:
     """Pull back along sigma: lumps become sigma-preimages, order kept."""
     if sigma.target != F.ground:
         raise ValueError("bijection target does not match the ground set")
-    lumps = tuple(
-        sorted_labels(a for a, b in sigma.pairs if b in set(lump))
-        for lump in F.lumps
-    )
-    return Composition(sigma.source, lumps)
+    pos, subset = sigma.positions, sigma.source.subset
+    lumps = tuple(subset(gather_bits(F.ground.mask(lump), pos)) for lump in F.lumps)
+    return _unchecked(Composition, ground=sigma.source, lumps=lumps)
 
 
 def permute_lumps(beta: Perm, F: Composition) -> Composition:
@@ -334,7 +429,7 @@ def permute_lumps(beta: Perm, F: Composition) -> Composition:
     out: list = [None] * F.length()
     for m, lump in enumerate(F.lumps, start=1):
         out[beta(m) - 1] = lump
-    return Composition(F.ground, tuple(out))
+    return _unchecked(Composition, ground=F.ground, lumps=tuple(out))
 
 
 def hat_beta(beta: Perm, F: Composition, G: Composition) -> Perm:
@@ -351,7 +446,7 @@ def hat_beta(beta: Perm, F: Composition, G: Composition) -> Perm:
     if beta.degree != G.length():
         raise ValueError("degree does not match G")
     layout = tuple(i + 1 for m in beta.inverse().images for i in runs[m - 1])
-    return Perm(layout).inverse()
+    return _unchecked(Perm, images=layout).inverse()
 
 
 def all_compositions(ground: GroundSet) -> Iterator[Composition]:
@@ -364,15 +459,16 @@ def all_compositions(ground: GroundSet) -> Iterator[Composition]:
             return
         first, rest = xs[0], xs[1:]
         for sub in rec(rest):
-            # insert {first} as a new lump, or merge it into an existing one
+            # insert {first} as a new lump, or merge it into an existing one;
+            # first precedes every label of rest, so merged lumps stay canonical
             for k in range(len(sub) + 1):
                 yield sub[:k] + ((first,),) + sub[k:]
             for k in range(len(sub)):
-                yield sub[:k] + (sorted_labels(sub[k] + (first,)),) + sub[k + 1:]
+                yield sub[:k] + ((first,) + sub[k],) + sub[k + 1:]
 
     # each composition arises from exactly one (sub, position) choice
     for lumps in rec(labels):
-        yield Composition(ground, lumps)
+        yield _unchecked(Composition, ground=ground, lumps=lumps)
 
 
 @lru_cache(maxsize=None)

@@ -140,6 +140,7 @@ MALFORMED = {
     "comp-tits-array-label": (["comp", "tits"], {"F": [[1, [2]]], "G": [[1, 2]]}),
     "comp-tits-object-label": (["comp", "tits"], {"F": [[1, {"a": 1}]], "G": [[1, 2]]}),
     "comp-restrict-scalar-S": (["comp", "restrict"], {"F": [[1, 2]], "S": 5}),
+    "comp-restrict-repeated-S": (["comp", "restrict"], {"F": [[1, 2]], "S": [1, 1]}),
     "comp-permute-string-image": (["comp", "permute"], {"F": [[1], [2]], "beta": [1, "a"]}),
     "comp-relabel-array-image": (["comp", "relabel"], {"sigma": {"1": [2]}, "F": [[1]]}),
     "comp-enumerate-array-label": (["comp", "enumerate"], {"ground": [1, [2]]}),
@@ -327,3 +328,32 @@ def test_composition_enumeration_is_capped(monkeypatch, capsys, argv, payload):
     code, out, err = run_cli(monkeypatch, capsys, argv, payload)
     assert_one_line_error(code, out, err)
     assert err == "error: enumeration capped at 7 labels\n"
+
+
+# `check` sizes past what the harness can sample or enumerate are refused
+# before any law runs: compositions are drawn from the full list of the
+# ground's (7087261 at 9 labels), and o-bullet enumerates its preposets.
+CHECK_CAPS = {"sigma": 7, "bf": 7, "points": 7, "o-bullet": 5}
+
+
+@pytest.mark.parametrize("instance, size", [
+    ("sigma", 9), ("sigma", 8), ("bf", 12), ("points", 40), ("o-bullet", 6),
+])
+def test_check_size_past_its_cap_exits_two_before_any_law(monkeypatch, capsys, instance, size):
+    def no_laws(*args, **kwargs):
+        raise AssertionError("a law ran")
+
+    monkeypatch.setattr(cli_mod, "check_all", no_laws)
+    argv = ["check", instance, "--size", str(size), "--budget", "1"]
+    code, out, err = run_cli(monkeypatch, capsys, argv, {})
+    assert_one_line_error(code, out, err)
+    assert f"capped at --size {CHECK_CAPS[instance]}" in err
+
+
+@pytest.mark.parametrize("instance", sorted(CHECK_CAPS))
+def test_check_size_at_its_cap_runs(monkeypatch, capsys, instance):
+    sizes = []
+    monkeypatch.setattr(cli_mod, "check_all", lambda inst, ground, **kw: sizes.append(len(ground)) or [])
+    argv = ["check", instance, "--size", str(CHECK_CAPS[instance])]
+    assert run_cli(monkeypatch, capsys, argv, {})[0] == 0
+    assert sizes == [CHECK_CAPS[instance]]

@@ -119,6 +119,13 @@ class TestRestrictRelabel:
         q = restrict_preposet(p, [1, 3])
         assert set(q.pairs) == {(1, 3)}
 
+    def test_restrict_rejects_a_repeated_or_foreign_label(self):
+        p = pre([1, 2, 3], (1, 2))
+        with pytest.raises(ValueError, match="S names label 3 twice"):
+            restrict_preposet(p, [3, 1, 3])
+        with pytest.raises(ValueError, match="not a subset"):
+            restrict_preposet(p, [1, 4])
+
     def test_relabel_pullback(self):
         sigma = Bijection.of({"a": 1, "b": 2})
         p = pre([1, 2], (1, 2))

@@ -51,6 +51,38 @@ class TestGroundSet:
             GroundSet.of([1, 2]).union(GroundSet.of([2, 3]))
 
 
+class TestInterning:
+    def test_one_instance_for_the_labels_in_any_order(self):
+        g = GroundSet.of([3, "a", 1, 2])
+        for labels in ([1, 2, 3, "a"], ("a", 3, 2, 1), {2, 3, 1, "a"}, iter([2, "a", 3, 1])):
+            assert GroundSet.of(labels) is g
+        assert GroundSet.of([1, 3]).union(GroundSet.of(["a", 2])) is g
+
+    def test_labels_of_different_types_stay_apart(self):
+        # (True,) == (1,), so a key on the labels alone would hand one of
+        # these the other's instance
+        for first, second in (([True], [1]), ([1], [True])):
+            setcomp._interned.cache_clear()
+            a, b = GroundSet.of(first), GroundSet.of(second)
+            assert type(a.labels[0]) is type(first[0])
+            assert type(b.labels[0]) is type(second[0])
+        assert GroundSet.of([2, True]).labels == (True, 2)
+
+    def test_a_rejected_label_set_raises_on_every_call(self):
+        size = setcomp._interned.cache_info().currsize
+        for labels in ([1, 1], [1, 1], [2, 1, 1], [2, 1, 1]):
+            with pytest.raises(ValueError, match="duplicate labels"):
+                GroundSet.of(labels)
+        assert setcomp._interned.cache_info().currsize == size
+
+    def test_the_cache_stays_at_its_bound(self):
+        bound = setcomp._GROUND_CACHE
+        for k in range(bound + 50):
+            GroundSet.of([k, -k - 1])
+        assert setcomp._interned.cache_info().currsize == bound
+        assert GroundSet.of([-1, 0]).labels == (-1, 0)
+
+
 class TestSubsetCodec:
     GROUND = GroundSet.of([2, "b", 1, "a"])
 
@@ -79,6 +111,8 @@ class TestSubsetCodec:
         for call in calls:
             with pytest.raises(ValueError, match="^label 9 is not in the ground set$"):
                 call()
+        with pytest.raises(ValueError, match=r"^label \[9\] is not in the ground set$"):
+            G2.index([9])
 
     def test_scatter_inverts_gather(self):
         pos = [3, 0, 2]
@@ -88,6 +122,11 @@ class TestSubsetCodec:
             assert setcomp.scatter_bits(setcomp.gather_bits(m, pos), pos) == m & 0b1101
         assert setcomp.gather_bits(0b1000, pos) == 0b001
         assert setcomp.scatter_bits(0b001, pos) == 0b1000
+
+    def test_scatter_table_lists_every_scatter(self):
+        for pos in ([], [2], [3, 0, 2], [1, 4, 0, 3]):
+            table = setcomp.scatter_table(pos)
+            assert table == [setcomp.scatter_bits(m, pos) for m in range(1 << len(pos))]
 
 
 class TestComposition:
@@ -142,6 +181,11 @@ class TestRestrict:
     def test_not_a_subset_rejected(self):
         with pytest.raises(ValueError):
             restrict(comp([1]), [2])
+
+    def test_repeated_label_rejected(self):
+        for S in ([1, 1], [2, "a", 2]):
+            with pytest.raises(ValueError, match=f"S names label {S[0]} twice"):
+                restrict(comp([1, "a"], [2]), S)
 
 
 class TestTitsProduct:
