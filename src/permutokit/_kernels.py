@@ -2,13 +2,18 @@
 numpy. int64 arithmetic is exact only while every sum stays in range, so each
 window is proved in range by `check_int64_window` before it is enumerated.
 
+Every subset sum comes from one primitive, `subset_sums`: the mask-major
+table of a row block's coordinate sums over all 2^n subsets, built by
+doubling (the sum over m | 1 << k is the sum over m plus x_k, for m < 2^k).
+Each entry is a sum of at most n coordinates, so the range proof covers it.
+
 Cone and plate windows share one shape: the rows of the cached zero-sum box
 whose coordinate sum over each of a list of subsets is at most zero. A plate
 window is its centre plus such a cone window, since the centre meets every
 proper initial-segment inequality with equality. `cone_window` answers it
-from a cached table saying which of the box's subset sums are at most zero;
-section windows, and boxes too large for a table, go through the row-chunked
-`lattice_filter`.
+from a cached table, indexed by mask, of which of the box's subset sums are
+at most zero; section windows, and boxes too large for a table, go through
+the row-chunked `lattice_filter`.
 """
 from __future__ import annotations
 
@@ -23,8 +28,8 @@ INT64_SAFE = 1 << 62
 # grid takes about 8 * (n + 1) bytes per row, plus a copy of the kept rows.
 ROW_BUDGET = 1 << 24
 
-# Most cells (candidate rows times constraint rows) of the int64 product
-# lattice_filter forms at once, 32 MiB; larger products go in row chunks.
+# Most cells (subsets times rows) of a subset-sum table formed at once,
+# 32 MiB in int64; larger row blocks go through lattice_filter in chunks.
 FILTER_CELLS = 1 << 22
 
 
@@ -40,44 +45,55 @@ def check_int64_window(n: int, coord_max: int, values=()) -> None:
         raise ValueError("window exceeds the exact int64 range (2^62)")
 
 
-@lru_cache(maxsize=16)
-def _subset_rows(n: int) -> np.ndarray:
-    """Indicator rows of the nonempty proper subsets of n labels, row m-1
-    for bitmask m, as a read-only int64 array."""
-    masks = np.arange(1, (1 << n) - 1, dtype=np.int64)
-    A = (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1
-    A.setflags(write=False)
-    return A
+def subset_sums(rows) -> np.ndarray:
+    """The coordinate sums of each row over every subset: a (2^n, N) int64
+    array whose entry [m, i] sums rows[i, k] over the bits k of mask m.
+
+    rows: (N, n) int64. Built by doubling, n broadcast adds in all: the
+    block of masks with top bit k is the block below it plus column k."""
+    cols = np.ascontiguousarray(np.asarray(rows, dtype=np.int64).T)
+    n, N = cols.shape
+    out = np.empty((1 << n, N), dtype=np.int64)
+    out[0] = 0
+    for k in range(n):
+        half = 1 << k
+        np.add(out[:half], cols[k], out=out[half:2 * half])
+    return out
 
 
-def lattice_filter(cands, A, b):
-    """Boolean mask of candidate rows satisfying A @ x <= b.
+def lattice_filter(cands, masks, b) -> np.ndarray:
+    """Boolean mask of the candidate rows whose coordinate sum over each
+    bitmask in masks is at most the matching entry of b.
 
-    cands: (N, n) int64; A: (m, n) int64; b: (m,) int64. The product
-    cands @ A.T is formed for at most FILTER_CELLS cells at a time.
+    cands: (N, n) int64; masks: bitmasks below 2^n; b: one int64 per mask.
+    The subset-sum table is formed for at most FILTER_CELLS cells at a time.
     """
-    cands = np.ascontiguousarray(cands, dtype=np.int64)
-    A = np.ascontiguousarray(A, dtype=np.int64)
-    b = np.ascontiguousarray(b, dtype=np.int64)
+    cands = np.asarray(cands, dtype=np.int64)
+    n = cands.shape[1]
+    # one bound per subset, the largest int64 where masks leave it free
+    bounds = np.full(1 << n, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(bounds, np.array(masks, dtype=np.intp), np.asarray(b, dtype=np.int64))
+    bounds = bounds[:, None]
     out = np.empty(cands.shape[0], dtype=np.bool_)
-    step = max(1, FILTER_CELLS // max(A.shape[0], 1))
+    step = max(1, FILTER_CELLS >> n)
     for i in range(0, cands.shape[0], step):
-        # with no constraint rows the product has no columns: all() is True
-        (cands[i:i + step] @ A.T <= b).all(axis=1, out=out[i:i + step])
+        (subset_sums(cands[i:i + step]) <= bounds).all(axis=0, out=out[i:i + step])
     return out
 
 
 @lru_cache(maxsize=16)
-def _nonpositive_sums(n: int, bound: int) -> np.ndarray:
-    """Which subset sums of zero_sum_box(n, bound) are at most zero, stored
-    constraint-major: row m-1 holds, for every box row, whether its
-    coordinate sum over mask m is <= 0. A read-only (2^n - 2, N) bool array,
-    built only when it has at most FILTER_CELLS cells, so one table holds at
-    most FILTER_CELLS bytes (4 MiB) and the cache at most 16 * FILTER_CELLS
-    (64 MiB). Building it forms the int64 sums once, at most 32 MiB."""
-    out = _subset_rows(n) @ zero_sum_box(n, bound).T <= 0
-    out.setflags(write=False)
-    return out
+def _cone_table(n: int, bound: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """zero_sum_box(n, bound) and its read-only (2^n, N) bool table: row m
+    says, for every box row, whether its coordinate sum over mask m is at
+    most zero. The table is None when it would have more than FILTER_CELLS
+    cells, so one table holds at most FILTER_CELLS bytes (4 MiB) and the
+    cache at most 16 * FILTER_CELLS (64 MiB)."""
+    box = zero_sum_box(n, bound)
+    if (1 << n) * box.shape[0] > FILTER_CELLS:
+        return box, None
+    signs = subset_sums(box) <= 0
+    signs.setflags(write=False)
+    return box, signs
 
 
 def cone_window(n: int, bound: int, masks) -> np.ndarray:
@@ -85,15 +101,14 @@ def cone_window(n: int, bound: int, masks) -> np.ndarray:
     mask in masks (bitmasks of nonempty proper subsets) is at most zero, in
     the box's lexicographic order, as a new (K, n) int64 array.
 
-    When the box's table of subset-sum signs has at most FILTER_CELLS cells,
-    each mask costs one AND of a cached table row; larger boxes go through
-    lattice_filter."""
-    box = zero_sum_box(n, bound)
-    idx = np.asarray(masks, dtype=np.intp) - 1
-    if ((1 << n) - 2) * box.shape[0] > FILTER_CELLS:
-        A = _subset_rows(n)[idx]
-        return box[lattice_filter(box, A, np.zeros(len(idx), dtype=np.int64))]
-    return box[_nonpositive_sums(n, bound)[idx].all(axis=0)]
+    When the box has a sign table, each mask costs one AND of a cached table
+    row; larger boxes go through lattice_filter."""
+    box, signs = _cone_table(n, bound)
+    if signs is None:
+        keep = lattice_filter(box, masks, np.zeros(len(masks), dtype=np.int64))
+    else:
+        keep = signs.take(masks, axis=0).all(axis=0)
+    return box.compress(keep, axis=0)
 
 
 @lru_cache(maxsize=64)
@@ -135,5 +150,5 @@ def ranged_sum_box(lo, hi, total: int) -> np.ndarray:
     first = first.reshape(grid_rows, n - 1)
     last = total - first.sum(axis=1)
     keep = (last >= lo[n - 1]) & (last <= hi[n - 1])
-    first = first[keep]
-    return np.concatenate([first, last[keep, None]], axis=1)
+    first = first.compress(keep, axis=0)
+    return np.concatenate([first, last.compress(keep)[:, None]], axis=1)

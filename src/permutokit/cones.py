@@ -122,7 +122,7 @@ class PointSet:
             raise ValueError("coordinate count does not match the ground set")
         coord_max = max(int(rows.max()), -int(rows.min())) if rows.size else 0
         _kernels.check_int64_window(n, coord_max)
-        if self.kind is CoweightVector and rows.sum(axis=1).any():
+        if self.kind is CoweightVector and np.einsum("ij->i", rows).any():
             raise ValueError("coordinates must sum to zero")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)

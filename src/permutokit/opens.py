@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .preposet import (
@@ -23,6 +23,7 @@ from .setcomp import (
     GroundSet,
     _comps,
     concatenate,
+    ground_cache,
     refines,
     restrict,
 )
@@ -30,7 +31,7 @@ from .setcomp import (
 _SIZE_CAP = 4
 
 
-@lru_cache(maxsize=None)
+@ground_cache
 def _down_set(H: Composition) -> frozenset:
     """All compositions obtainable from H by merging contiguous lumps."""
     return frozenset(K for K in _comps(H.ground) if refines(K, H))
@@ -102,7 +103,7 @@ def _ambient_orbits(ground: GroundSet, pred) -> frozenset:
     )
 
 
-@lru_cache(maxsize=None)
+@ground_cache
 def open_of_preposet(p: AugPreposet) -> ToricOpen:
     """The open indexed by a preposet: all orbits whose total relation
     contains the relation of p. The bottom indexes the empty open."""

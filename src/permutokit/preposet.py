@@ -24,6 +24,7 @@ from .setcomp import (
     _split_masks,
     _unchecked,
     gather_bits,
+    ground_cache,
     scatter_bits,
     set_bits,
 )
@@ -178,7 +179,7 @@ def o_comul(
     return _restricted(p, S), _restricted(p, T)
 
 
-@lru_cache(maxsize=None)
+@ground_cache
 def total_of_composition(F: Composition) -> Preposet:
     """The total preposet of a composition: (a,b) related iff the lump of a
     comes no later than the lump of b. Same-lump pairs get both directions."""
@@ -221,7 +222,7 @@ def upward_masks(p: Preposet) -> tuple[int, ...]:
     return tuple(S for S in range(1, full) if not S & reach[full ^ S])
 
 
-@lru_cache(maxsize=None)
+@ground_cache
 def upward_pairs(p: Preposet) -> tuple[tuple[tuple, tuple], ...]:
     """All proper two-block decompositions (S,T) with (S,T) <= p, as label
     tuples in the order of upward_masks."""
@@ -242,7 +243,7 @@ def relabel_preposet(sigma: Bijection, p: AugPreposet) -> AugPreposet:
 _ENUM_CAP = 5
 
 
-@lru_cache(maxsize=None)
+@ground_cache
 def _preposet_list(ground: GroundSet) -> tuple[Preposet, ...]:
     n = len(ground)
     if n > _ENUM_CAP:

@@ -8,6 +8,7 @@ of its base polytope; they carry the same product/face structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -101,13 +102,24 @@ class SectionBasis:
         if (rows.sum(axis=1) != hei(z)).any():
             raise ValueError("point has the wrong coordinate sum")
         b = np.array(z.values[1:-1], dtype=np.int64)
-        A = _kernels._subset_rows(len(z.ground)).T
-        # at most FILTER_CELLS product cells at a time, without lattice_filter,
-        # so that this check stays independent of the filter it guards
+        A = _indicator_columns(len(z.ground))
+        # at most FILTER_CELLS product cells at a time, by its own product and
+        # not the kernels' subset sums, so that this check stays independent
+        # of the filter it guards
         step = max(1, _kernels.FILTER_CELLS // max(len(b), 1))
         for i in range(0, len(rows), step):
             if (rows[i:i + step] @ A > b).any():
                 raise ValueError("point violates a subset inequality")
+
+
+@lru_cache(maxsize=16)
+def _indicator_columns(n: int) -> np.ndarray:
+    """The (n, 2^n - 2) int64 indicator matrix of the nonempty proper subsets
+    of n labels, column m - 1 for bitmask m, read-only."""
+    masks = np.arange(1, (1 << n) - 1, dtype=np.int64)
+    A = (masks >> np.arange(n, dtype=np.int64)[:, None]) & 1
+    A.setflags(write=False)
+    return A
 
 
 def global_sections(z: BooleanFunction) -> SectionBasis:
@@ -123,10 +135,9 @@ def global_sections(z: BooleanFunction) -> SectionBasis:
     cands = _kernels.ranged_sum_box(
         np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64), hei(z)
     )
-    A = _kernels._subset_rows(n)
     b = np.array(z.values[1:full], dtype=np.int64)
-    mask = _kernels.lattice_filter(cands, A, b)
-    return SectionBasis(z, PointSet(ground, cands[mask], AffinePoint))
+    keep = _kernels.lattice_filter(cands, range(1, full), b)
+    return SectionBasis(z, PointSet(ground, cands.compress(keep, axis=0), AffinePoint))
 
 
 def sections_mul(s1: SectionBasis, s2: SectionBasis) -> SectionBasis:

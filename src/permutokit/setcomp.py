@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import Any, Iterable, Iterator, Optional
 
 Label = Any
@@ -101,6 +101,7 @@ class GroundSet:
         if self.labels != sorted_labels(self.labels):
             raise ValueError(f"labels not in canonical order: {self.labels!r}")
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_types", tuple(map(type, self.labels)))
         object.__setattr__(self, "_subs", {})
 
     @staticmethod
@@ -175,6 +176,25 @@ def _interned(labels: tuple, types: tuple) -> GroundSet:
 
 
 EMPTY_GROUND = GroundSet.of(())
+
+
+def ground_cache(fn):
+    """Cache fn, a function of one ground set or of one object with a
+    ground, without bound. The key is the argument and the types of its
+    ground's labels: labels of different types can compare equal
+    ((True,) == (1,)), and the cached result carries the ground it was
+    built on."""
+
+    @lru_cache(maxsize=None)
+    def cached(x, types):
+        return fn(x)
+
+    @wraps(fn)
+    def call(x):
+        ground = x if isinstance(x, GroundSet) else x.ground
+        return cached(x, ground._types)
+
+    return call
 
 
 @dataclass(frozen=True)
@@ -471,7 +491,7 @@ def all_compositions(ground: GroundSet) -> Iterator[Composition]:
         yield _unchecked(Composition, ground=ground, lumps=lumps)
 
 
-@lru_cache(maxsize=None)
+@ground_cache
 def _comps(ground: GroundSet) -> tuple[Composition, ...]:
     return tuple(all_compositions(ground))
 

@@ -1,6 +1,7 @@
-"""Enumeration kernels: candidate boxes and the constraint filter, with
-agreement between the one-product and the row-chunked filter and a bound on
-the filter's memory."""
+"""Enumeration kernels: candidate boxes, the doubling subset-sum table
+against the indicator-matrix product it replaced, and the constraint filter,
+with agreement between the one-chunk and the row-chunked filter and a bound
+on the filter's memory."""
 import tracemalloc
 
 import numpy as np
@@ -76,49 +77,104 @@ class TestRangedSumBox:
             _kernels.ranged_sum_box([0, 0, 0], [4096, 4095, 0], 0)
 
 
-def _random_instance(rng, rows, cols, n_cands):
-    A = rng.integers(-2, 3, size=(rows, cols)).astype(np.int64)
-    b = rng.integers(-3, 4, size=rows).astype(np.int64)
-    cands = rng.integers(-4, 5, size=(n_cands, cols)).astype(np.int64)
-    return cands, A, b
+def _indicator(n, masks):
+    """One 0/1 row per bitmask: the indicator-matrix formulation of subset
+    sums that the doubling table replaced, kept here as its oracle."""
+    masks = np.asarray(masks, dtype=np.int64)
+    return (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1
+
+
+def _direct(cands, masks, b):
+    return (cands @ _indicator(cands.shape[1], masks).T <= b).all(axis=1)
+
+
+def _random_instance(rng, n_masks, n, n_cands):
+    masks = rng.integers(0, 1 << n, size=n_masks)
+    b = rng.integers(-3, 4, size=n_masks).astype(np.int64)
+    cands = rng.integers(-4, 5, size=(n_cands, n)).astype(np.int64)
+    return cands, masks, b
+
+
+class TestSubsetSums:
+    def test_matches_indicator_product(self):
+        rng = np.random.default_rng(3)
+        for n in range(9):
+            rows = rng.integers(-9, 10, size=(37, n)).astype(np.int64)
+            got = _kernels.subset_sums(rows)
+            assert got.dtype == np.int64 and got.shape == (1 << n, 37)
+            assert (got == _indicator(n, range(1 << n)) @ rows.T).all()
+
+    def test_rows_at_the_edge_of_the_int64_range(self):
+        rng = np.random.default_rng(8)
+        for n in range(1, 9):
+            # the largest |x_i| check_int64_window admits on n coordinates
+            top = ((1 << 62) - 1) // n
+            _kernels.check_int64_window(n, top)
+            with pytest.raises(ValueError):
+                _kernels.check_int64_window(n, top + 1)
+            signs = rng.choice([-1, 0, 1], size=(40, n))
+            rows = np.vstack([np.full((2, n), top), np.full((2, n), -top), signs * top])
+            got = _kernels.subset_sums(rows)
+            exact = [
+                [sum(int(v) for k, v in enumerate(row) if m >> k & 1) for row in rows]
+                for m in range(1 << n)
+            ]
+            assert got.tolist() == exact
+            assert (got == _indicator(n, range(1 << n)) @ rows.T).all()
+
+    def test_empty_row_block(self):
+        assert _kernels.subset_sums(np.zeros((0, 3), dtype=np.int64)).shape == (8, 0)
+        assert _kernels.subset_sums(np.zeros((2, 0), dtype=np.int64)).tolist() == [[0, 0]]
 
 
 class TestLatticeFilter:
     def test_matches_direct_check(self):
         rng = np.random.default_rng(11)
-        cands, A, b = _random_instance(rng, 4, 3, 60)
-        mask = _kernels.lattice_filter(cands, A, b)
-        expect = (cands @ A.T <= b).all(axis=1)
+        cands, masks, b = _random_instance(rng, 4, 3, 60)
+        mask = _kernels.lattice_filter(cands, masks, b)
+        expect = _direct(cands, masks, b)
+        assert 0 < expect.sum() < len(expect)
         assert (mask == expect).all()
 
     def test_paths_agree(self, monkeypatch):
-        # the whole product at once, and chunks of 1, 2, 3 and 39 of the 40 rows
+        # 16 table rows: one chunk of all 40 rows, and chunks of 1, 2, 3 and 39
         rng = np.random.default_rng(5)
         for _ in range(20):
-            cands, A, b = _random_instance(rng, 3, 4, 40)
-            whole = _kernels.lattice_filter(cands, A, b)
-            for cells in (1, 6, 9, 3 * 39):
+            cands, masks, b = _random_instance(rng, 3, 4, 40)
+            whole = _kernels.lattice_filter(cands, masks, b)
+            assert (whole == _direct(cands, masks, b)).all()
+            for cells in (1, 16 * 2, 16 * 3, 16 * 39):
                 monkeypatch.setattr(_kernels, "FILTER_CELLS", cells)
-                assert (_kernels.lattice_filter(cands, A, b) == whole).all()
+                assert (_kernels.lattice_filter(cands, masks, b) == whole).all()
             monkeypatch.undo()
 
     def test_chunked_filter_matches_direct_check(self, monkeypatch):
         rng = np.random.default_rng(17)
-        cands, A, b = _random_instance(rng, 6, 5, 1000)
-        expect = (cands @ A.T <= b).all(axis=1)
+        cands, masks, b = _random_instance(rng, 6, 5, 1000)
+        expect = _direct(cands, masks, b)
         assert 0 < expect.sum() < len(expect)
-        # 7 rows a chunk: 143 chunks, the last one partial
-        monkeypatch.setattr(_kernels, "FILTER_CELLS", 42)
-        assert (_kernels.lattice_filter(cands, A, b) == expect).all()
+        # 32 table rows, 7 candidate rows a chunk: 143 chunks, the last partial
+        monkeypatch.setattr(_kernels, "FILTER_CELLS", 7 * 32)
+        assert (_kernels.lattice_filter(cands, masks, b) == expect).all()
         monkeypatch.setattr(_kernels, "FILTER_CELLS", 1)
-        assert (_kernels.lattice_filter(cands, A, b) == expect).all()
-        assert _kernels.lattice_filter(cands[:0], A, b).shape == (0,)
+        assert (_kernels.lattice_filter(cands, masks, b) == expect).all()
+        assert _kernels.lattice_filter(cands[:0], masks, b).shape == (0,)
+
+    def test_repeated_and_improper_masks(self):
+        # a mask given twice keeps its least bound; masks 0 and 2^n - 1 are
+        # the empty sum and the total
+        rng = np.random.default_rng(23)
+        cands = rng.integers(-4, 5, size=(200, 3)).astype(np.int64)
+        masks = np.array([5, 0, 7, 5, 2])
+        b = np.array([3, 0, 1, -1, 2], dtype=np.int64)
+        expect = _direct(cands, masks, b)
+        assert 0 < expect.sum() < len(expect)
+        assert (_kernels.lattice_filter(cands, masks, b) == expect).all()
+        assert not _kernels.lattice_filter(cands, [0], [-1]).any()
 
     def test_no_constraints_keeps_everything(self):
         cands = np.zeros((5, 2), dtype=np.int64)
-        A = np.zeros((0, 2), dtype=np.int64)
-        b = np.zeros(0, dtype=np.int64)
-        assert _kernels.lattice_filter(cands, A, b).all()
+        assert _kernels.lattice_filter(cands, [], np.zeros(0, dtype=np.int64)).all()
 
     def test_memory_is_bounded_on_a_large_cone_window(self):
         # the 7-label antichain at bound 4: 273127 zero-sum candidates against

@@ -20,6 +20,7 @@ from permutokit.setcomp import (
     refines,
     relabel,
     restrict,
+    sorted_labels,
     tits_product,
     two_block_decompositions,
 )
@@ -67,6 +68,36 @@ class TestInterning:
             assert type(a.labels[0]) is type(first[0])
             assert type(b.labels[0]) is type(second[0])
         assert GroundSet.of([2, True]).labels == (True, 2)
+
+    def test_ground_keyed_caches_keep_the_label_types(self):
+        # each cached function is first called on int labels, then on the
+        # bool labels equal to them; the second result must be built on the
+        # bool ground, not read back from the int call. Grounds are compared
+        # by labels and label types: an interned instance can be evicted
+        # while a cache still holds an equal one.
+        from permutokit.opens import _down_set, open_of_preposet
+        from permutokit.preposet import (
+            enumerate_preposets,
+            total_of_composition,
+            upward_pairs,
+        )
+
+        def typed(labels):
+            return [(x, type(x)) for x in labels]
+
+        for labels in ([1], [True], [1, 2], [True, 2]):
+            g = typed(GroundSet.of(labels).labels)
+            assert all(typed(H.ground.labels) == g for H in setcomp._comps(GroundSet.of(labels)))
+            H = Composition.of([[x] for x in labels])
+            assert typed(total_of_composition(H).ground.labels) == g
+            assert all(typed(K.ground.labels) == g for K in _down_set(H))
+            for p in enumerate_preposets(GroundSet.of(labels)):
+                assert typed(p.ground.labels) == g
+                for S, T in upward_pairs(p):
+                    assert typed(sorted_labels(S + T)) == g
+                U = open_of_preposet(p)
+                assert typed(U.shape.ground.labels) == g
+                assert all(typed(K.ground.labels) == g for orbit in U.orbits for K in orbit)
 
     def test_a_rejected_label_set_raises_on_every_call(self):
         size = setcomp._interned.cache_info().currsize

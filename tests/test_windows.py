@@ -313,9 +313,13 @@ class TestConeWindowKernel:
 
         monkeypatch.setattr(_kernels, "lattice_filter", counted)
         if request.param == "filter":
-            # below every table's cell count, n = 0 (-1 cells) and n = 1 (0) included
-            monkeypatch.setattr(_kernels, "FILTER_CELLS", -2)
+            # below every table's cell count, n = 0 (one cell) included
+            monkeypatch.setattr(_kernels, "FILTER_CELLS", 0)
+        # the cached entries carry the table-or-filter decision made under
+        # the FILTER_CELLS of their first call
+        _kernels._cone_table.cache_clear()
         yield request.param
+        _kernels._cone_table.cache_clear()
         assert bool(calls) == (request.param == "filter")
 
     def test_cone_windows_match_box_scan(self, path):
@@ -335,12 +339,14 @@ class TestConeWindowKernel:
                     assert_plate_is_translated_cone(H, z, bound)
 
     def test_table_is_cached_and_read_only(self):
-        table = _kernels._nonpositive_sums(3, 2)
-        box = _kernels.zero_sum_box(3, 2)
-        assert table is _kernels._nonpositive_sums(3, 2)
-        assert table.dtype == np.bool_ and table.shape == (6, len(box))
-        for m in range(1, 7):
-            assert table[m - 1].tolist() == [_pair(row, m) <= 0 for row in box.tolist()]
+        box, table = _kernels._cone_table(3, 2)
+        assert box.tolist() == _kernels.zero_sum_box(3, 2).tolist()
+        assert table is _kernels._cone_table(3, 2)[1]
+        assert table.dtype == np.bool_ and table.shape == (8, len(box))
+        # indexed by mask, the empty set and the whole ground included
+        for m in range(8):
+            assert table[m].tolist() == [_pair(row, m) <= 0 for row in box.tolist()]
+        assert table[0].all() and table[7].all()
         with pytest.raises(ValueError):
             table[0, 0] = False
 
