@@ -61,21 +61,17 @@ def subset_sums(rows) -> np.ndarray:
     return out
 
 
-def lattice_filter(cands, masks, b) -> np.ndarray:
-    """Boolean mask of the candidate rows whose coordinate sum over each
-    bitmask in masks is at most the matching entry of b.
+def lattice_filter(cands, bounds) -> np.ndarray:
+    """Boolean mask of the candidate rows whose coordinate sum over every
+    subset m is at most bounds[m].
 
-    cands: (N, n) int64; masks: bitmasks below 2^n; b: one int64 per mask.
+    cands: (N, n) int64; bounds: 2^n int64, one bound per subset bitmask.
     The subset-sum table is formed for at most FILTER_CELLS cells at a time.
     """
     cands = np.asarray(cands, dtype=np.int64)
-    n = cands.shape[1]
-    # one bound per subset, the largest int64 where masks leave it free
-    bounds = np.full(1 << n, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(bounds, np.array(masks, dtype=np.intp), np.asarray(b, dtype=np.int64))
-    bounds = bounds[:, None]
+    bounds = np.asarray(bounds, dtype=np.int64)[:, None]
     out = np.empty(cands.shape[0], dtype=np.bool_)
-    step = max(1, FILTER_CELLS >> n)
+    step = max(1, FILTER_CELLS >> cands.shape[1])
     for i in range(0, cands.shape[0], step):
         (subset_sums(cands[i:i + step]) <= bounds).all(axis=0, out=out[i:i + step])
     return out
@@ -105,7 +101,10 @@ def cone_window(n: int, bound: int, masks) -> np.ndarray:
     row; larger boxes go through lattice_filter."""
     box, signs = _cone_table(n, bound)
     if signs is None:
-        keep = lattice_filter(box, masks, np.zeros(len(masks), dtype=np.int64))
+        # no subset sum of the box exceeds n * bound, so only masks bind
+        bounds = np.full(1 << n, n * bound, dtype=np.int64)
+        bounds[list(masks)] = 0
+        keep = lattice_filter(box, bounds)
     else:
         keep = signs.take(masks, axis=0).all(axis=0)
     return box.compress(keep, axis=0)

@@ -291,14 +291,14 @@ def _random_coarsening(F: Composition, rng) -> Composition:
 
 
 def _random_bijection(ground: GroundSet, rng) -> Bijection:
-    images = list(ground.labels)
-    rng.shuffle(images)
-    return _bijection(ground, ground, images)
+    positions = list(range(len(ground)))
+    rng.shuffle(positions)
+    return _bijection(ground, ground, positions)
 
 
 def _all_bijections(ground: GroundSet):
-    for images in itertools.permutations(ground.labels):
-        yield _bijection(ground, ground, images)
+    for positions in itertools.permutations(range(len(ground))):
+        yield _bijection(ground, ground, positions)
 
 
 def _one(inst, labels, rng):

@@ -19,17 +19,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import _kernels
-from .preposet import (
-    AugPreposet,
-    Bottom,
-    Preposet,
-    is_bottom,
-    o_mul,
-    restrict_preposet,
-    split_admissible,
-    upward_masks,
-)
-from .setcomp import GroundSet, _mask_sum, _split_blocks, _unchecked
+from .preposet import AugPreposet, Preposet, is_bottom, o_comul, o_mul, upward_masks
+from .setcomp import GroundSet, _mask_sum, _unchecked
 
 
 @dataclass(frozen=True)
@@ -251,17 +242,8 @@ def cone_restrict(h, S: Iterable) -> CoweightVector:
 
 
 def cone_face(p: AugPreposet, S: Iterable, T: Iterable) -> AugPreposet:
-    """The preposet indexing the face of the cone of p cut by the split (S,T).
-
-    When (S,T) <= p this is the disjoint union of the two restrictions, viewed
-    on the full ground set; otherwise the cone has no such face and the bottom
-    is returned.
-    """
-    if is_bottom(p):
-        return Bottom(p.ground)
-    S, T = _split_blocks(p.ground, S, T)
-    if not split_admissible(p, S, T):
-        return Bottom(p.ground)
-    if not S or not T:
-        return p
-    return o_mul(restrict_preposet(p, S), restrict_preposet(p, T))
+    """The preposet indexing the face of the cone of p cut by the split (S,T):
+    the product of the coproduct, the disjoint union of the two restrictions
+    on the full ground set when (S,T) <= p, and the bottom otherwise.
+    ValueError unless S,T decompose the ground."""
+    return o_mul(*o_comul(p, S, T))

@@ -22,6 +22,7 @@ from .setcomp import (
     Composition,
     GroundSet,
     _comps,
+    _unchecked,
     concatenate,
     ground_cache,
     refines,
@@ -108,12 +109,10 @@ def open_of_preposet(p: AugPreposet) -> ToricOpen:
     """The open indexed by a preposet: all orbits whose total relation
     contains the relation of p. The bottom indexes the empty open."""
     shape = Composition.one_lump(p.ground)
-    if is_bottom(p):
-        return ToricOpen.empty(shape)
-    orbits = _ambient_orbits(
+    orbits = frozenset() if is_bottom(p) else _ambient_orbits(
         p.ground, lambda H: preposet_leq(total_of_composition(H), p)
     )
-    return ToricOpen(shape, orbits)
+    return _unchecked(ToricOpen, shape=shape, orbits=orbits)
 
 
 def pullback_delta(F: Composition, U: ToricOpen) -> ToricOpen:
@@ -126,7 +125,7 @@ def pullback_delta(F: Composition, U: ToricOpen) -> ToricOpen:
         F.ground,
         lambda H: tuple(restrict(H, lump) for lump in F.lumps) in U.orbits,
     )
-    return ToricOpen(shape, orbits)
+    return _unchecked(ToricOpen, shape=shape, orbits=orbits)
 
 
 def pullback_mu(F: Composition, U: ToricOpen) -> ToricOpen:
@@ -140,7 +139,7 @@ def pullback_mu(F: Composition, U: ToricOpen) -> ToricOpen:
         for tup in itertools.product(*factor_comps)
         if _ambient_key(reduce(concatenate, tup, Composition.empty())) in U.orbits
     )
-    return ToricOpen(F, orbits)
+    return _unchecked(ToricOpen, shape=F, orbits=orbits)
 
 
 def open_product(opens: Sequence[ToricOpen]) -> ToricOpen:
@@ -150,14 +149,12 @@ def open_product(opens: Sequence[ToricOpen]) -> ToricOpen:
         if U.shape.length() != 1:
             raise ValueError("factors must have one-lump shapes")
         lumps.append(U.shape.lumps[0])
-    if not lumps:
-        return ToricOpen(Composition.empty(), frozenset({()}))
-    shape = Composition.of(lumps)
+    shape = Composition.of(lumps)  # raises on overlapping factors
     orbits = frozenset(
         tuple(t[0] for t in tup)
         for tup in itertools.product(*[U.orbits for U in opens])
     )
-    return ToricOpen(shape, orbits)
+    return _unchecked(ToricOpen, shape=shape, orbits=orbits)
 
 
 @dataclass(frozen=True)
@@ -168,15 +165,15 @@ class IndexingReport:
     counterexample: Optional[str]
 
 
-def check_indexing(ground: GroundSet, cap: int = _SIZE_CAP) -> IndexingReport:
+def check_indexing(ground: GroundSet) -> IndexingReport:
     """Exhaustively verify that preposet indexing turns the pullbacks into
     the preposet operations: the comultiplication pullback of a product of
     preposet opens is the open of their disjoint union, and the
     multiplication pullback of a preposet open is the product of restriction
     opens when F sits below p and empty otherwise.
     """
-    if len(ground) > cap:
-        raise ValueError(f"ground set exceeds the size cap {cap}")
+    if len(ground) > _SIZE_CAP:
+        raise ValueError(f"ground set exceeds the size cap {_SIZE_CAP}")
     from .preposet import enumerate_aug_preposets
 
     checked_mul = 0

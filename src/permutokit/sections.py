@@ -135,8 +135,7 @@ def global_sections(z: BooleanFunction) -> SectionBasis:
     cands = _kernels.ranged_sum_box(
         np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64), hei(z)
     )
-    b = np.array(z.values[1:full], dtype=np.int64)
-    keep = _kernels.lattice_filter(cands, range(1, full), b)
+    keep = _kernels.lattice_filter(cands, np.array(z.values, dtype=np.int64))
     return SectionBasis(z, PointSet(ground, cands.compress(keep, axis=0), AffinePoint))
 
 

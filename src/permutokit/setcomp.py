@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
+from functools import lru_cache, wraps
 from typing import Any, Iterable, Iterator, Optional
 
 Label = Any
@@ -257,44 +257,38 @@ class Composition:
 
 @dataclass(frozen=True)
 class Bijection:
-    """A bijection source -> target between ground sets.
-
-    Stored as pairs sorted by source label; callable on source labels.
-    `positions`, entry k the target index of the image of source.labels[k],
-    gives the same map by canonical index, which is what relabeling reads.
-    """
+    """A bijection source -> target between ground sets, stored by canonical
+    index: positions[k] is the target index of the image of source.labels[k].
+    Callable on source labels; relabeling reads positions directly."""
 
     source: GroundSet
     target: GroundSet
-    pairs: tuple[tuple, ...]
+    positions: tuple[int, ...]
 
     def __post_init__(self):
-        srcs = [a for a, _ in self.pairs]
-        tgts = [b for _, b in self.pairs]
-        if tuple(srcs) != self.source.labels:
-            raise ValueError("map is not total on the source in canonical order")
-        if sorted_labels(tgts) != self.target.labels or len(set(tgts)) != len(tgts):
+        pos = self.positions
+        if type(pos) is not tuple or not all(type(j) is int for j in pos):
+            raise ValueError("positions must be a tuple of ints")
+        if len(pos) != len(self.source) or sorted(pos) != list(range(len(self.target))):
             raise ValueError("map is not a bijection onto the target")
-        object.__setattr__(self, "positions", tuple(self.target.positions(tgts)))
 
     @staticmethod
     def of(mapping: dict) -> "Bijection":
         source = GroundSet.of(mapping.keys())
         target = GroundSet.of(mapping.values())
-        pairs = tuple((a, mapping[a]) for a in source.labels)
-        return Bijection(source, target, pairs)
-
-    @staticmethod
-    def _of(mapping: dict) -> "Bijection":
-        """Bijection.of without validation, for a mapping derived from a
-        validated bijection: injective, with distinct labels."""
-        source = GroundSet.of(mapping.keys())
-        images = [mapping[a] for a in source.labels]
-        return _bijection(source, GroundSet.of(mapping.values()), images)
+        return Bijection(source, target, tuple(target.positions(mapping[a] for a in source.labels)))
 
     @staticmethod
     def identity(ground: GroundSet) -> "Bijection":
-        return _bijection(ground, ground, ground.labels)
+        return _bijection(ground, ground, range(len(ground)))
+
+    @property
+    def pairs(self) -> tuple[tuple, ...]:
+        """(label, image) for every source label, in canonical order."""
+        return tuple(zip(self.source.labels, map(self.target.labels.__getitem__, self.positions)))
+
+    def __repr__(self) -> str:
+        return f"Bijection(source={self.source!r}, target={self.target!r}, pairs={self.pairs!r})"
 
     def __call__(self, x: Label) -> Label:
         k = self.source._index.get(x)
@@ -302,31 +296,32 @@ class Bijection:
             raise KeyError(x)
         return self.target.labels[self.positions[k]]
 
-    @cached_property
-    def _inverse(self) -> "Bijection":
-        return Bijection._of({b: a for a, b in self.pairs})
-
     def inverse(self) -> "Bijection":
-        return self._inverse
+        inv = [0] * len(self.positions)
+        for k, j in enumerate(self.positions):
+            inv[j] = k
+        return _bijection(self.target, self.source, inv)
 
     def compose(self, inner: "Bijection") -> "Bijection":
         """self after inner: (self.compose(inner))(x) = self(inner(x))."""
         if inner.target != self.source:
             raise ValueError("bijections do not compose")
-        return Bijection._of({a: self(b) for a, b in inner.pairs})
+        return _bijection(inner.source, self.target, [self.positions[j] for j in inner.positions])
 
     def restricted(self, targets: Iterable[Label]) -> "Bijection":
-        """The restriction onto a subset of the target."""
-        targets = set(targets)
-        return Bijection._of({a: b for a, b in self.pairs if b in targets})
+        """The restriction onto a subset of the target; ValueError naming a
+        label outside the target."""
+        t = self.target.mask(targets)
+        rank = {j: r for r, j in enumerate(set_bits(t))}
+        keep = [k for k, j in enumerate(self.positions) if j in rank]
+        source = self.source.sub(sum(1 << k for k in keep))
+        return _bijection(source, self.target.sub(t), [rank[self.positions[k]] for k in keep])
 
 
-def _bijection(source: GroundSet, target: GroundSet, images) -> Bijection:
-    """The bijection sending source.labels[k] to images[k], a label of
-    target, built without validation."""
-    pairs = tuple(zip(source.labels, images))
-    positions = tuple(target.positions(images))
-    return _unchecked(Bijection, source=source, target=target, pairs=pairs, positions=positions)
+def _bijection(source: GroundSet, target: GroundSet, positions) -> Bijection:
+    """The bijection sending source.labels[k] to target.labels[positions[k]],
+    built without validation."""
+    return _unchecked(Bijection, source=source, target=target, positions=tuple(positions))
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,11 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
+import numpy as np
 import pytest
 
-from permutokit._kernels import zero_sum_box
 from permutokit.axioms import (
     INSTANCES,
     bf_instance,
@@ -219,12 +219,20 @@ def _proper_initial_segments(K):
     return segs
 
 
+@lru_cache(maxsize=None)
+def _zero_sum_scan(n, B):
+    """Every integer vector in [-B, B]^n with coordinate sum zero, in
+    lexicographic order, by a plain scan of the cube: the oracle's own box,
+    apart from the enumerator it checks."""
+    cube = itertools.product(range(-B, B + 1), repeat=n)
+    return np.array([v for v in cube if sum(v) == 0], dtype=np.int64).reshape(-1, n)
+
+
 def _product_window_bijection_holds(ground, H, blocks, zs, B):
     """Juxtaposition maps the product of restricted-plate windows bijectively
     onto the window points cut out by every union of per-factor initial
     segments (the per-factor sum equalities follow from those)."""
     labels = ground.labels
-    pos = {x: k for k, x in enumerate(labels)}
     Ks = [restrict(H, S) for S in blocks]
     windows = [plate_lattice_points(Plate(K, z), Box(B)) for K, z in zip(Ks, zs)]
     heights = [hei(z) for z in zs]
@@ -241,22 +249,20 @@ def _product_window_bijection_holds(ground, H, blocks, zs, B):
     for c in centers:
         cd.update(zip(c.ground.labels, c.coords))
     center = tuple(cd[x] for x in labels)
-    crossings = []
+    # one indicator row and one bound per crossing inequality
+    indicator, bounds = [], []
     for pick in itertools.product(*[_proper_initial_segments(K) for K in Ks]):
         A = tuple(x for seg in pick for x in seg)
         if 0 < len(A) < len(labels):
-            idx = tuple(pos[x] for x in A)
-            bound = sum(
+            indicator.append([int(x in A) for x in labels])
+            bounds.append(sum(
                 z.value(tuple(x for x in A if x in set(S)))
                 for z, S in zip(zs, blocks)
-            )
-            crossings.append((idx, bound))
-    target = set()
-    for delta in zero_sum_box(len(labels), B):
-        cand = tuple(center[k] + int(delta[k]) for k in range(len(labels)))
-        if all(sum(cand[k] for k in idx) <= b for idx, b in crossings):
-            target.add(cand)
-    return image == target
+            ))
+    cands = np.array(center, dtype=np.int64) + _zero_sum_scan(len(labels), B)
+    indicator = np.array(indicator, dtype=np.int64).reshape(-1, len(labels))
+    keep = (cands @ indicator.T <= np.array(bounds, dtype=np.int64)).all(axis=1)
+    return image == set(map(tuple, cands[keep].tolist()))
 
 
 def _face_factorization_holds(ground, F, Ks, z, B):

@@ -285,7 +285,7 @@ class TestInstanceRegistry:
         inst = INSTANCES["points"]()
         assert inst.name == "points" and inst is not INSTANCES["points"]()
         x = random_point(G3, random.Random(0))
-        ident = Bijection(G3, G3, ((1, 1), (2, 2), (3, 3)))
+        ident = Bijection(G3, G3, (0, 1, 2))
         assert inst.relabel(ident, x) == x
 
     def test_point_mul_comul_wired(self):

@@ -357,3 +357,12 @@ def test_check_size_at_its_cap_runs(monkeypatch, capsys, instance):
     argv = ["check", instance, "--size", str(CHECK_CAPS[instance])]
     assert run_cli(monkeypatch, capsys, argv, {})[0] == 0
     assert sizes == [CHECK_CAPS[instance]]
+
+
+def test_cone_face_of_a_bottom_checks_the_split(monkeypatch, capsys):
+    # S and T repeat a label, so they do not decompose the ground: a bottom p
+    # is no exception to that check
+    payload = {"p": {"ground": [1, 2], "bottom": True}, "S": [1], "T": [1]}
+    code, out, err = run_cli(monkeypatch, capsys, ["cone", "face"], payload)
+    assert_one_line_error(code, out, err)
+    assert err == "error: S,T do not decompose the ground set\n"

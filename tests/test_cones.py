@@ -6,6 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
+from permutokit import cones
 from permutokit.cones import (
     Box,
     CoweightVector,
@@ -21,13 +22,16 @@ from permutokit.cones import (
 from permutokit.preposet import (
     Bottom,
     Preposet,
+    enumerate_aug_preposets,
     enumerate_preposets,
     is_bottom,
+    o_comul,
     o_mul,
+    restrict_preposet,
     split_admissible,
     total_of_composition,
 )
-from permutokit.setcomp import Composition, GroundSet, two_block_decompositions
+from permutokit.setcomp import Composition, GroundSet, _split_blocks, two_block_decompositions
 
 
 def _solve_exact(cols, target):
@@ -248,3 +252,47 @@ class TestFace:
                     continue
                 for h in cone_lattice_points(face, Box(1)):
                     assert cone_contains(p, h)
+
+
+def _face_oracle(p, S, T):
+    """The face as it was once derived, kept here as the oracle: the bottom
+    for a bottom p or an inadmissible split, p for an empty block, else the
+    union of the two restrictions."""
+    if is_bottom(p):
+        return Bottom(p.ground)
+    S, T = _split_blocks(p.ground, S, T)
+    if not split_admissible(p, S, T):
+        return Bottom(p.ground)
+    if not S or not T:
+        return p
+    return o_mul(restrict_preposet(p, S), restrict_preposet(p, T))
+
+
+FACE_GROUNDS = [GroundSet.of(range(1, n + 1)) for n in range(5)] + [
+    GroundSet.of([1, 2, "a", "b"])
+]
+
+
+def face_mismatches():
+    """(p, S, T) for every augmented preposet on each ground and every
+    split, empty blocks included, where cone_face differs from the oracle."""
+    return [
+        (p, S, T)
+        for g in FACE_GROUNDS
+        for p in enumerate_aug_preposets(g)
+        for S, T in two_block_decompositions(g)
+        if cones.cone_face(p, S, T) != _face_oracle(p, S, T)
+    ]
+
+
+class TestFaceIsTheProductOfTheCoproduct:
+    def test_matches_the_restriction_oracle(self):
+        assert face_mismatches() == []
+
+    def test_swapped_blocks_are_caught(self, monkeypatch):
+        monkeypatch.setattr(cones, "cone_face", lambda p, S, T: o_mul(*o_comul(p, T, S)))
+        assert face_mismatches()
+
+    def test_a_bottom_still_needs_a_decomposition(self):
+        with pytest.raises(ValueError, match="do not decompose"):
+            cone_face(Bottom(GroundSet.of([1, 2])), [1], [1])

@@ -1,13 +1,15 @@
 """Internal operations build their results without validation; public
 constructors and JSON decoding are the only places __post_init__ runs. These
-tests build the result of every such operation over small grounds, run the
-validation of each result's class on it, and check that none is rejected."""
+tests build the result of every such operation over small grounds (the opens
+and their pullbacks on grounds of at most 3 labels), run the validation of
+each result's class on it, and check that none is rejected."""
 import dataclasses
 import itertools
 import random
 
 from permutokit import axioms, setcomp
 from permutokit.boolfun import bf_comul, bf_mul, relabel_bf
+from permutokit.opens import open_of_preposet, open_product, pullback_delta, pullback_mu
 from permutokit.points import point_comul, point_mul, point_relabel
 from permutokit.preposet import (
     Preposet,
@@ -42,8 +44,8 @@ SPLIT_GROUNDS = [GroundSet.of(range(1, n + 1)) for n in range(5)] + [
 def rejection(obj):
     """The ValueError text when obj, or a dataclass it holds, fails the
     validation of its class, or when validation derives attributes (a ground
-    set's index, a bijection's positions) other than those obj was built
-    with; None when every part is accepted."""
+    set's index and label types) other than those obj was built with; None
+    when every part is accepted."""
     if isinstance(obj, tuple):
         return next(filter(None, map(rejection, obj)), None)
     if not dataclasses.is_dataclass(obj):
@@ -127,6 +129,17 @@ def internal_results(g):
         right = list(enumerate_aug_preposets(GroundSet.of(T)))[:12]
         for p, q in itertools.product(left, right):
             yield "o_mul", o_mul, (p, q)
+    if len(g) <= 3:
+        for p in ps:
+            yield "open_of_preposet", open_of_preposet, (p,)
+        for F in comps:
+            factors = [enumerate_aug_preposets(GroundSet.of(lump)) for lump in F.lumps]
+            for ptup in itertools.product(*factors):
+                opens = [open_of_preposet(q) for q in ptup]
+                yield "open_product", open_product, (opens,)
+                yield "pullback_delta", pullback_delta, (F, open_product(opens))
+            for p in ps:
+                yield "pullback_mu", pullback_mu, (F, open_of_preposet(p))
     yield "_all_bijections", tuple, (axioms._all_bijections(g),)
     yield "_random_bijection", axioms._random_bijection, (g, rng)
     yield "_random_bf", axioms._random_bf, (g, rng)

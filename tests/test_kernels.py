@@ -84,15 +84,18 @@ def _indicator(n, masks):
     return (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1
 
 
-def _direct(cands, masks, b):
-    return (cands @ _indicator(cands.shape[1], masks).T <= b).all(axis=1)
+def _direct(cands, bounds):
+    n = cands.shape[1]
+    return (cands @ _indicator(n, range(1 << n)).T <= bounds).all(axis=1)
 
 
 def _random_instance(rng, n_masks, n, n_cands):
-    masks = rng.integers(0, 1 << n, size=n_masks)
-    b = rng.integers(-3, 4, size=n_masks).astype(np.int64)
+    """Candidates and a bound per subset: n_masks random masks get a bound
+    in [-3, 3], every other subset one no candidate sum reaches."""
+    bounds = np.full(1 << n, 4 * n, dtype=np.int64)
+    bounds[rng.integers(0, 1 << n, size=n_masks)] = rng.integers(-3, 4, size=n_masks)
     cands = rng.integers(-4, 5, size=(n_cands, n)).astype(np.int64)
-    return cands, masks, b
+    return cands, bounds
 
 
 class TestSubsetSums:
@@ -130,9 +133,9 @@ class TestSubsetSums:
 class TestLatticeFilter:
     def test_matches_direct_check(self):
         rng = np.random.default_rng(11)
-        cands, masks, b = _random_instance(rng, 4, 3, 60)
-        mask = _kernels.lattice_filter(cands, masks, b)
-        expect = _direct(cands, masks, b)
+        cands, bounds = _random_instance(rng, 4, 3, 60)
+        mask = _kernels.lattice_filter(cands, bounds)
+        expect = _direct(cands, bounds)
         assert 0 < expect.sum() < len(expect)
         assert (mask == expect).all()
 
@@ -140,41 +143,42 @@ class TestLatticeFilter:
         # 16 table rows: one chunk of all 40 rows, and chunks of 1, 2, 3 and 39
         rng = np.random.default_rng(5)
         for _ in range(20):
-            cands, masks, b = _random_instance(rng, 3, 4, 40)
-            whole = _kernels.lattice_filter(cands, masks, b)
-            assert (whole == _direct(cands, masks, b)).all()
+            cands, bounds = _random_instance(rng, 3, 4, 40)
+            whole = _kernels.lattice_filter(cands, bounds)
+            assert (whole == _direct(cands, bounds)).all()
             for cells in (1, 16 * 2, 16 * 3, 16 * 39):
                 monkeypatch.setattr(_kernels, "FILTER_CELLS", cells)
-                assert (_kernels.lattice_filter(cands, masks, b) == whole).all()
+                assert (_kernels.lattice_filter(cands, bounds) == whole).all()
             monkeypatch.undo()
 
     def test_chunked_filter_matches_direct_check(self, monkeypatch):
         rng = np.random.default_rng(17)
-        cands, masks, b = _random_instance(rng, 6, 5, 1000)
-        expect = _direct(cands, masks, b)
+        cands, bounds = _random_instance(rng, 6, 5, 1000)
+        expect = _direct(cands, bounds)
         assert 0 < expect.sum() < len(expect)
         # 32 table rows, 7 candidate rows a chunk: 143 chunks, the last partial
         monkeypatch.setattr(_kernels, "FILTER_CELLS", 7 * 32)
-        assert (_kernels.lattice_filter(cands, masks, b) == expect).all()
+        assert (_kernels.lattice_filter(cands, bounds) == expect).all()
         monkeypatch.setattr(_kernels, "FILTER_CELLS", 1)
-        assert (_kernels.lattice_filter(cands, masks, b) == expect).all()
-        assert _kernels.lattice_filter(cands[:0], masks, b).shape == (0,)
+        assert (_kernels.lattice_filter(cands, bounds) == expect).all()
+        assert _kernels.lattice_filter(cands[:0], bounds).shape == (0,)
 
-    def test_repeated_and_improper_masks(self):
-        # a mask given twice keeps its least bound; masks 0 and 2^n - 1 are
-        # the empty sum and the total
+    def test_empty_and_full_masks_bound_like_any_other(self):
+        # mask 0 is the empty sum, 0; mask 2^n - 1 is the row total
         rng = np.random.default_rng(23)
         cands = rng.integers(-4, 5, size=(200, 3)).astype(np.int64)
-        masks = np.array([5, 0, 7, 5, 2])
-        b = np.array([3, 0, 1, -1, 2], dtype=np.int64)
-        expect = _direct(cands, masks, b)
+        bounds = np.array([0, 12, 2, 12, 12, 3, 12, 1], dtype=np.int64)
+        expect = _direct(cands, bounds)
         assert 0 < expect.sum() < len(expect)
-        assert (_kernels.lattice_filter(cands, masks, b) == expect).all()
-        assert not _kernels.lattice_filter(cands, [0], [-1]).any()
+        assert (_kernels.lattice_filter(cands, bounds) == expect).all()
+        assert (expect == ((cands.sum(axis=1) <= 1) & (cands[:, 1] <= 2)
+                           & (cands[:, 0] + cands[:, 2] <= 3))).all()
+        bounds[0] = -1
+        assert not _kernels.lattice_filter(cands, bounds).any()
 
     def test_no_constraints_keeps_everything(self):
         cands = np.zeros((5, 2), dtype=np.int64)
-        assert _kernels.lattice_filter(cands, [], np.zeros(0, dtype=np.int64)).all()
+        assert _kernels.lattice_filter(cands, np.zeros(4, dtype=np.int64)).all()
 
     def test_memory_is_bounded_on_a_large_cone_window(self):
         # the 7-label antichain at bound 4: 273127 zero-sum candidates against

@@ -1,5 +1,6 @@
 """Compositions of a finite set: canonical forms, the two products,
 restriction, refinement, relabeling, and lump permutation."""
+import dataclasses
 import itertools
 
 import pytest
@@ -309,6 +310,83 @@ class TestRelabel:
         tau = Bijection.of({"a": 1, "b": 2})
         F = comp([1], [2])
         assert relabel(sigma, relabel(tau, F)) == relabel(tau.compose(sigma), F)
+
+
+SPLIT_GROUNDS = [GroundSet.of(range(1, n + 1)) for n in range(5)] + [
+    GroundSet.of([1, 2, "a", "b"])
+]
+
+
+def _pairs_of(mapping):
+    """The pairs formulation a bijection was once stored as, kept here as
+    the oracle: (source, target, pairs sorted by source label) of a dict."""
+    source = GroundSet.of(mapping)
+    return source, GroundSet.of(mapping.values()), tuple((a, mapping[a]) for a in source.labels)
+
+
+def _as_pairs(sigma):
+    return sigma.source, sigma.target, sigma.pairs
+
+
+def bijection_mismatches():
+    """(operation, mapping) for every bijection of each ground onto a target
+    of other labels, in reverse canonical order, whose __call__, pairs,
+    inverse, compose or restricted differs from the dict-built oracle."""
+    bad = []
+    for g in SPLIT_GROUNDS:
+        other = [f"t{k}" for k in range(len(g), 0, -1)]
+        inners = [dict(zip(g.labels, images)) for images in itertools.permutations(g.labels)]
+        for images in itertools.permutations(other):
+            mapping = dict(zip(g.labels, images))
+            sigma = Bijection.of(mapping)
+            checks = [
+                ("call", [sigma(a) for a in g], list(images)),
+                ("pairs", _as_pairs(sigma), _pairs_of(mapping)),
+                ("inverse", _as_pairs(sigma.inverse()),
+                 _pairs_of({b: a for a, b in mapping.items()})),
+            ]
+            for inner in inners:
+                checks.append(("compose", _as_pairs(sigma.compose(Bijection.of(inner))),
+                               _pairs_of({a: mapping[b] for a, b in inner.items()})))
+            for r in range(len(other) + 1):
+                for targets in itertools.combinations(other, r):
+                    checks.append(("restricted", _as_pairs(sigma.restricted(targets)),
+                                   _pairs_of({a: b for a, b in mapping.items() if b in targets})))
+            bad += [(name, mapping) for name, got, want in checks if got != want]
+    return bad
+
+
+class TestBijection:
+    def test_operations_match_the_pairs_oracle(self):
+        assert bijection_mismatches() == []
+
+    def test_an_uninverted_inverse_is_caught(self, monkeypatch):
+        def uninverted(self):
+            return setcomp._bijection(self.target, self.source, self.positions)
+
+        monkeypatch.setattr(Bijection, "inverse", uninverted)
+        assert {name for name, _ in bijection_mismatches()} == {"inverse"}
+
+    def test_stored_as_positions(self):
+        sigma = Bijection.of({"a": 2, "b": 3, "c": 1})
+        assert [f.name for f in dataclasses.fields(sigma)] == ["source", "target", "positions"]
+        assert sigma.positions == (1, 2, 0)
+        assert sigma == Bijection(sigma.source, sigma.target, (1, 2, 0))
+        assert repr(sigma) == (
+            "Bijection(source=GroundSet(labels=('a', 'b', 'c')), "
+            "target=GroundSet(labels=(1, 2, 3)), pairs=(('a', 2), ('b', 3), ('c', 1)))"
+        )
+
+    @pytest.mark.parametrize("positions", [(0, 0), (0, 2), (1,), (0, 1, 2), [1, 0], (0, True)])
+    def test_constructor_rejects_non_bijections(self, positions):
+        g = GroundSet.of([1, 2])
+        with pytest.raises(ValueError):
+            Bijection(g, g, positions)
+
+    def test_restricted_rejects_a_label_outside_the_target(self):
+        sigma = Bijection.of({1: "a", 2: "b"})
+        with pytest.raises(ValueError, match="'c'"):
+            sigma.restricted(["a", "c"])
 
 
 class TestPermuteLumps:

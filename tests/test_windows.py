@@ -266,7 +266,7 @@ class TestDifferential:
 
     def test_basis_validation_catches_a_filter_that_keeps_everything(self, monkeypatch):
         monkeypatch.setattr(
-            _kernels, "lattice_filter", lambda cands, A, b: np.ones(len(cands), dtype=bool)
+            _kernels, "lattice_filter", lambda cands, bounds: np.ones(len(cands), dtype=bool)
         )
         with pytest.raises(ValueError, match="subset inequality"):
             global_sections(perm_bf(4))
