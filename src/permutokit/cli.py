@@ -349,15 +349,33 @@ def _read_payload() -> dict:
     data = sys.stdin.read()
     if not data.strip():
         return {}
-    obj = json.loads(data)
+    try:
+        obj = json.loads(data)
+    except RecursionError:
+        raise ValueError("stdin payload nests too deeply to decode") from None
     jsonio.check_envelope(obj)
     if not isinstance(obj, dict):
         raise ValueError("stdin payload must be a JSON object")
     return obj
 
 
+# Distinct argument vectors whose parse is kept: a request's shape repeats in
+# argv while its data varies on stdin.
+_PARSED_MAX = 256
+
+
+@functools.lru_cache(maxsize=_PARSED_MAX)
+def _parsed(parser: argparse.ArgumentParser, argv: tuple) -> argparse.Namespace:
+    """parser's Namespace for argv. Keyed on the parser too, so a rebuilt
+    parser parses afresh. `--help` and usage errors raise SystemExit, which
+    is never stored, so they print every time."""
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = tuple(sys.argv[1:] if argv is None else argv)
+    # a copy, so a body that sets an attribute leaves the stored parse as it was
+    args = argparse.Namespace(**vars(_parsed(_build_parser(), argv)))
     command = COMMANDS[args.command]
     try:
         result = command.body(args, *_values(args, command.keys))

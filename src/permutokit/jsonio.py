@@ -170,7 +170,12 @@ def decode_preposet(obj) -> AugPreposet:
     if not isinstance(obj, dict) or "ground" not in obj:
         raise ValueError("a preposet must be an object with a 'ground' array")
     ground = decode_ground(obj["ground"])
-    if obj.get("bottom"):
+    bottom = obj.get("bottom", False)
+    if not isinstance(bottom, bool):
+        raise ValueError("a preposet's 'bottom' must be true or false")
+    if bottom:
+        if obj.get("rel", []) != []:
+            raise ValueError("a bottom preposet has no relation pairs")
         return Bottom(ground)
     rel = obj.get("rel", [])
     if not isinstance(rel, list) or not all(isinstance(p, list) and len(p) == 2 for p in rel):

@@ -12,7 +12,11 @@ from permutokit.cli import main
 
 
 def run_cli(monkeypatch, capsys, argv, payload):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    return run_raw(monkeypatch, capsys, argv, json.dumps(payload))
+
+
+def run_raw(monkeypatch, capsys, argv, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
@@ -187,6 +191,19 @@ MALFORMED = {
             "z2": {"ground": [2], "values": {"": 0, "2": 1}},
         },
     ),
+    # `bottom` is JSON true or false, and a bottom has no relation pairs
+    "cone-points-string-bottom": (
+        ["cone", "points", "--bound", "1"],
+        {"p": {"ground": [1, 2], "bottom": "false", "rel": [[1, 2]]}},
+    ),
+    "cone-points-array-bottom": (
+        ["cone", "points", "--bound", "1"],
+        {"p": {"ground": [1, 2], "bottom": [0], "rel": [[1, 2]]}},
+    ),
+    "cone-points-bottom-with-rel": (
+        ["cone", "points", "--bound", "1"],
+        {"p": {"ground": [1, 2], "bottom": True, "rel": [[1, 2], [2, 9]]}},
+    ),
 }
 
 
@@ -208,6 +225,23 @@ def test_malformed_payload_exits_two(monkeypatch, capsys, argv, payload):
 def test_label_outside_the_ground_is_named(monkeypatch, capsys, case):
     _, _, err = run_cli(monkeypatch, capsys, *MALFORMED[case])
     assert "label 3" in err
+
+
+# JSON nested past the interpreter's recursion limit is refused where stdin
+# is decoded. Given as raw text: json.dumps itself recurses on such values.
+DEEP = {
+    "unclosed-arrays": "[" * 50_000,
+    "envelope-with-deep-F": json.dumps({"schema": "permutokit/1", "F": None, "G": [[1]]}).replace(
+        "null", "[" * 5_000 + "]" * 5_000
+    ),
+}
+
+
+@pytest.mark.parametrize("text", DEEP.values(), ids=DEEP.keys())
+def test_deeply_nested_payload_exits_two(monkeypatch, capsys, text):
+    code, out, err = run_raw(monkeypatch, capsys, ["comp", "tits"], text)
+    assert_one_line_error(code, out, err)
+    assert err == "error: stdin payload nests too deeply to decode\n"
 
 
 # Two object keys that decode to one label ("1" and "01"), or to one subset

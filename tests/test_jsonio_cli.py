@@ -20,6 +20,7 @@ from permutokit.points import PermPoint
 from permutokit.preposet import Bottom, Preposet
 from permutokit.sections import TensorWord, global_sections
 from permutokit.setcomp import Bijection, Composition, GroundSet, Perm, restrict
+from test_cli_commands import CHECK_ARGV, REQUESTS
 
 G3 = GroundSet.of([1, 2, 3])
 
@@ -546,3 +547,78 @@ class TestCliParserReuse:
         assert json.loads(reused[0][1])["composition"] == [[1, 2], [3]]
         assert reused[1][1] == "composition: [[1, 2], [3]]\n"
         assert reused[6][1] == "" and "usage: permutokit comp" in reused[6][2]
+
+
+class TestCliParseMemo:
+    """main() parses each distinct argv once per parser (cli._parsed): a
+    memoised parse must give the same exit code and bytes as a fresh one,
+    and no call may see what an earlier call did to its args."""
+
+    @staticmethod
+    def requests():
+        out = [([*w, *flags], json.dumps(payload)) for w, (flags, payload) in REQUESTS.items()]
+        out.append((CHECK_ARGV, ""))
+        # --help and usage errors raise SystemExit and are never memoised
+        out += [(["--help"], ""), (["comp", "nope"], ""), (["cone", "points", "--bound", "x"], "")]
+        return out
+
+    run = staticmethod(TestCliParserReuse.run)
+
+    def test_memoised_parse_matches_a_cleared_memo(self, monkeypatch, capsys):
+        requests = self.requests()
+        fresh = []
+        for argv, text in requests:
+            cli_mod._parsed.cache_clear()
+            fresh.append(self.run(monkeypatch, capsys, argv, text))
+        cli_mod._parsed.cache_clear()
+        twice = [
+            self.run(monkeypatch, capsys, argv, text) for _ in range(2) for argv, text in requests
+        ]
+        assert twice == fresh + fresh
+        assert [code for code, _, _ in fresh[-3:]] == [0, 2, 2]
+        info = cli_mod._parsed.cache_info()
+        assert info.hits == info.currsize == len(requests) - 3
+
+    def test_a_body_cannot_change_the_next_calls_args(self, monkeypatch, capsys):
+        seen = []
+
+        def meddle(args):
+            seen.append(dict(vars(args)))
+            args.bound = 99
+            args.extra = True
+            return {"count": 0}
+
+        row = cli_mod.COMMANDS["cone", "points"]._replace(keys=(), body=meddle)
+        monkeypatch.setitem(cli_mod.COMMANDS, ("cone", "points"), row)
+        cli_mod._parsed.cache_clear()
+        argv = ["cone", "points", "--bound", "1"]
+        for _ in range(2):
+            assert run_cli(monkeypatch, capsys, argv) == (0, "0\n", "")
+        assert cli_mod._parsed.cache_info().hits == 1
+        assert seen[0] == seen[1]
+        assert seen[0]["bound"] == 1 and "extra" not in seen[0]
+
+    def test_a_repeated_usage_error_prints_its_usage_each_time(self, monkeypatch, capsys):
+        cli_mod._parsed.cache_clear()
+        errors = [self.run(monkeypatch, capsys, ["comp"], None) for _ in range(2)]
+        assert errors[0] == errors[1]
+        code, out, err = errors[0]
+        assert code == 2 and out == "" and err.startswith("usage: permutokit comp")
+        assert cli_mod._parsed.cache_info().currsize == 0
+
+    def test_no_argv_reads_sys_argv(self, monkeypatch, capsys):
+        for size, count in (("2", 3), ("3", 13)):
+            argv = ["comp", "enumerate", "--size", size, "--format", "json"]
+            monkeypatch.setattr("sys.argv", ["permutokit", *argv])
+            code, out, _ = run_cli(monkeypatch, capsys, None)
+            assert code == 0 and len(json.loads(out)["compositions"]) == count
+            assert run_cli(monkeypatch, capsys, argv) == (code, out, "")
+
+    def test_the_memo_holds_at_most_its_bound(self):
+        cli_mod._parsed.cache_clear()
+        parser = cli_mod._build_parser()
+        for seed in range(cli_mod._PARSED_MAX + 40):
+            cli_mod._parsed(parser, ("check", "sigma", "--seed", str(seed)))
+            assert cli_mod._parsed.cache_info().currsize <= cli_mod._PARSED_MAX
+        info = cli_mod._parsed.cache_info()
+        assert info.maxsize == info.currsize == cli_mod._PARSED_MAX
