@@ -91,9 +91,12 @@ class PointSet:
 
     rows is a read-only (N, n) int64 array, one row per point, n = |ground|;
     kind is the point class (CoweightVector or AffinePoint) that indexing and
-    iteration build from a row. Construction validates all rows at once: the
-    shape, the exact int64 range, and zero sums when kind is CoweightVector.
-    A PointSet compares equal to the tuple of the same points in order.
+    iteration build from a row. The public constructor validates all rows at
+    once: the shape, the exact int64 range, and zero sums when kind is
+    CoweightVector. Cone and plate windows are built unchecked: their int64
+    range is proved before enumeration, and the kernel's rows have n columns
+    and, for a cone, zero sums. A PointSet compares equal to the tuple of the
+    same points in order.
     """
 
     ground: GroundSet
@@ -223,10 +226,14 @@ def cone_lattice_points(p: AugPreposet, box: Box) -> PointSet:
     """Integer zero-sum vectors in the window that lie in the cone of p,
     lexicographically ordered."""
     ground = p.ground
+    n = len(ground)
     if is_bottom(p):
-        return PointSet(ground, [])
-    _kernels.check_int64_window(len(ground), box.bound)
-    return PointSet(ground, _kernels.cone_window(len(ground), box.bound, upward_masks(p)))
+        rows = np.zeros((0, n), dtype=np.int64)
+    else:
+        _kernels.check_int64_window(n, box.bound)
+        rows = _kernels.cone_window(n, box.bound, upward_masks(p))
+    rows.setflags(write=False)
+    return _unchecked(PointSet, ground=ground, rows=rows, kind=CoweightVector)
 
 
 def cone_product_map(h1: CoweightVector, h2: CoweightVector) -> CoweightVector:

@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .boolfun import BooleanFunction, hei
 from .cones import AffinePoint, PointSet, juxtaposed, pairing, restricted
-from .setcomp import EMPTY_GROUND, Composition, GroundSet, _mask_sum, refines
+from .setcomp import EMPTY_GROUND, Composition, GroundSet, _mask_sum, _unchecked, refines
 
 
 @dataclass(frozen=True)
@@ -40,20 +40,6 @@ class FlatSpec:
     def __post_init__(self):
         if len(self.heights) != self.F.length():
             raise ValueError("one height per lump required")
-
-
-def halfspace_contains(A: Iterable, z: BooleanFunction, h: AffinePoint) -> bool:
-    """Whether the pairing of h with A is at most z(A). A must be a proper
-    nonempty subset; the ambient height equality is checked separately."""
-    A = set(A)
-    if not A or A == set(z.ground.labels):
-        raise ValueError("A must be a proper nonempty subset")
-    return pairing(h, A) <= z.value(A)
-
-
-def initial_segments(H: Composition) -> list[tuple]:
-    """The proper nonempty initial segments of H, shortest first."""
-    return [H.ground.subset(m) for m in _prefix_masks(H)[:-1]]
 
 
 def plate_contains(P: Plate, h: AffinePoint) -> bool:
@@ -136,7 +122,8 @@ def plate_lattice_points(P: Plate, box) -> PointSet:
     _kernels.check_int64_window(n, coord_max)
     rows = _kernels.cone_window(n, box.bound, masks[:-1])
     rows += np.array(center, dtype=np.int64)
-    return PointSet(ground, rows, AffinePoint)
+    rows.setflags(write=False)
+    return _unchecked(PointSet, ground=ground, rows=rows, kind=AffinePoint)
 
 
 def restrict_point(h: AffinePoint, S: Iterable) -> AffinePoint:

@@ -25,11 +25,13 @@ def sorted_labels(labels: Iterable[Label]) -> tuple:
     return tuple(sorted(labels, key=label_key))
 
 
-def _unchecked(kind: type, **fields):
-    """An instance of the frozen dataclass kind built without running its
+def _unchecked(cls: type, /, **fields):
+    """An instance of the frozen dataclass cls built without running its
     __post_init__: only for values an internal operation derived from
-    validated ones. Public constructors and JSON decoding validate."""
-    obj = object.__new__(kind)
+    validated ones, or proved before they were built. Public constructors and
+    JSON decoding validate. cls is positional-only, so any field name (a
+    PointSet's kind) can be passed."""
+    obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 

@@ -1,15 +1,21 @@
 """Internal operations build their results without validation; public
 constructors and JSON decoding are the only places __post_init__ runs. These
-tests build the result of every such operation over small grounds (the opens
-and their pullbacks on grounds of at most 3 labels), run the validation of
-each result's class on it, and check that none is rejected."""
+tests build the result of every such operation over small grounds (the opens,
+their pullbacks and the cone and plate windows on grounds of at most 3
+labels), run the validation of each result's class on it, and check that none
+is rejected. A window's rows must also be its own read-only array, never the
+cached box it was cut from."""
 import dataclasses
 import itertools
 import random
 
-from permutokit import axioms, setcomp
+import numpy as np
+
+from permutokit import _kernels, axioms, setcomp
 from permutokit.boolfun import bf_comul, bf_mul, relabel_bf
+from permutokit.cones import Box, cone_lattice_points
 from permutokit.opens import open_of_preposet, open_product, pullback_delta, pullback_mu
+from permutokit.plates import Plate, plate_lattice_points
 from permutokit.points import point_comul, point_mul, point_relabel
 from permutokit.preposet import (
     Preposet,
@@ -48,10 +54,15 @@ def rejection(obj):
     when every part is accepted."""
     if isinstance(obj, tuple):
         return next(filter(None, map(rejection, obj)), None)
-    if not dataclasses.is_dataclass(obj):
+    if not dataclasses.is_dataclass(obj) or isinstance(obj, type):
         return None
     def derived():  # a ground's cache of sub-grounds starts empty
         return {k: v for k, v in vars(obj).items() if k != "_subs"}
+
+    def same(a, b):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            return np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+        return a == b
 
     built = derived()
     try:
@@ -59,7 +70,8 @@ def rejection(obj):
             type(obj).__post_init__(obj)
     except ValueError as exc:
         return str(exc)
-    if derived() != built:
+    after = derived()
+    if after.keys() != built.keys() or not all(same(after[k], built[k]) for k in built):
         return "validation derives other attributes"
     parts = (getattr(obj, f.name) for f in dataclasses.fields(obj))
     return next(filter(None, map(rejection, parts)), None)
@@ -140,6 +152,12 @@ def internal_results(g):
                 yield "pullback_delta", pullback_delta, (F, open_product(opens))
             for p in ps:
                 yield "pullback_mu", pullback_mu, (F, open_of_preposet(p))
+        for bound in range(3):
+            for p in ps:
+                yield "cone_lattice_points", cone_lattice_points, (p, Box(bound))
+            for H in comps:
+                z = axioms._random_bf(g, rng)
+                yield "plate_lattice_points", plate_lattice_points, (Plate(H, z), Box(bound))
     yield "_all_bijections", tuple, (axioms._all_bijections(g),)
     yield "_random_bijection", axioms._random_bijection, (g, rng)
     yield "_random_bf", axioms._random_bf, (g, rng)
@@ -158,14 +176,28 @@ def internal_results(g):
             yield "point_relabel", point_relabel, (sigma, x)
 
 
+def window_fault(points, n, bound):
+    """Why a window's rows are not its own read-only array, or None."""
+    if points.rows.flags.writeable:
+        return "window rows are writable"
+    if np.shares_memory(points.rows, _kernels.zero_sum_box(n, bound)):
+        return "window rows share memory with the cached box"
+    return None
+
+
 def rejected():
     """(operation, ground, message) for every internal result that fails
-    validation, and every operation that raises."""
+    validation, every window whose rows are not its own read-only array, and
+    every operation that raises."""
     bad = []
     for g in SPLIT_GROUNDS:
         for name, fn, args in internal_results(g):
             try:
-                why = rejection(fn(*args))
+                result = fn(*args)
+                why = None
+                if name.endswith("_lattice_points"):  # before validation copies the rows
+                    why = window_fault(result, len(g), args[1].bound)
+                why = why or rejection(result)
             except Exception as exc:  # a broken operation may raise anywhere
                 why = f"{type(exc).__name__}: {exc}"
             if why is not None:
@@ -197,3 +229,28 @@ def test_a_restriction_keeping_empty_lumps_is_caught(monkeypatch):
     monkeypatch.setattr(setcomp, "_meet", keeps_empties)
     names = {name for name, _, why in rejected() if why == "empty lump"}
     assert {"restrict", "tits_product"} <= names
+
+
+def test_a_window_off_the_zero_sum_is_caught(monkeypatch):
+    cone_window = _kernels.cone_window
+
+    def shifted(n, bound, masks):
+        rows = cone_window(n, bound, masks)
+        rows[:, :1] += 1
+        return rows
+
+    monkeypatch.setattr(_kernels, "cone_window", shifted)
+    names = {name for name, _, why in rejected() if why == "coordinates must sum to zero"}
+    assert "cone_lattice_points" in names
+
+
+def test_a_window_aliasing_the_cached_box_is_caught(monkeypatch):
+    cone_window = _kernels.cone_window
+
+    def aliased(n, bound, masks):
+        masks = list(masks)
+        return _kernels.zero_sum_box(n, bound) if not masks else cone_window(n, bound, masks)
+
+    monkeypatch.setattr(_kernels, "cone_window", aliased)
+    faults = {(name, why) for name, _, why in rejected()}
+    assert ("cone_lattice_points", "window rows share memory with the cached box") in faults

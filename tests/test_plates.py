@@ -7,15 +7,13 @@ from itertools import product
 import pytest
 
 from permutokit.boolfun import BooleanFunction, bf_comul_along, bf_mul, hei, z_of_point
-from permutokit.cones import Box, cone_generators, cone_product_map
+from permutokit.cones import Box, cone_generators, cone_product_map, pairing
 from permutokit.plates import (
     AffinePoint,
     FlatSpec,
     Plate,
     flat_contains,
     flat_mul,
-    halfspace_contains,
-    initial_segments,
     max_affine_flat,
     plate_contains,
     plate_F_face_contains,
@@ -33,6 +31,26 @@ def pt(labels, *coords):
 
 def bf(labels, values):
     return BooleanFunction(GroundSet.of(labels), tuple(values))
+
+
+def halfspace_contains(A, z, h):
+    """Oracle: whether the pairing of h with A is at most z(A). A must be a
+    proper nonempty subset; the ambient height equality is checked
+    separately."""
+    A = set(A)
+    if not A or A == set(z.ground.labels):
+        raise ValueError("A must be a proper nonempty subset")
+    return pairing(h, A) <= z.value(A)
+
+
+def initial_segments(H):
+    """Oracle: the proper nonempty initial segments of H, shortest first,
+    each in the ground's canonical order."""
+    segs, seen = [], set()
+    for lump in H.lumps[:-1]:
+        seen.update(lump)
+        segs.append(tuple(x for x in H.ground.labels if x in seen))
+    return segs
 
 
 def _random_bf(rng, labels, lo=-3, hi=3):
