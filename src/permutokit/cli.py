@@ -103,18 +103,17 @@ def _ground_of_size(n: int) -> GroundSet:
 
 
 def _values(args, keys: tuple) -> list:
-    """The stdin payload's values at `keys`, decoded in order once every key
-    is known to be present. `--size n` stands in for a 'ground' array, and
-    stdin is read only when some key has to come from it."""
+    """The stdin payload's values at `keys`, decoded in order once the
+    payload is known to hold every key and, besides "schema", no other.
+    `--size n` stands in for a 'ground' array, and stdin is read only when
+    some key has to come from it."""
     if "ground" in keys and args.size is not None:
         return [_ground_of_size(args.size)]
     payload = _read_payload() if keys else {}  # `check` reads no stdin
+    if "ground" in keys and "ground" not in payload:
+        raise ValueError("pass --size n or a 'ground' array on stdin")
     named = [k if isinstance(k, tuple) else (k, _DECODE[k]) for k in keys]
-    for k, _ in named:
-        if k not in payload:
-            if k == "ground":
-                raise ValueError("pass --size n or a 'ground' array on stdin")
-            raise ValueError(f"stdin payload is missing {k!r}")
+    jsonio._fields(payload, "stdin payload", [k for k, _ in named], ("schema",))
     return [decode(payload[k]) for k, decode in named]
 
 

@@ -12,6 +12,9 @@ Conventions:
   - labels are JSON integers or strings; integer-valued fields (coordinates,
     subset-function values, permutation images) accept JSON integers only,
     so 1.5, "7" and true are rejected rather than truncated or coerced
+  - each kind of object has one row of OBJECTS: its required keys and its
+    optional keys. An object missing a required key, or holding any other
+    key, is rejected with one message naming the key and the object
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ from fractions import Fraction
 
 from .boolfun import BooleanFunction
 from .cones import AffinePoint, CoweightVector, PointSet
-from .plates import Plate
 from .points import PermPoint
 from .preposet import AugPreposet, Bottom, Preposet, is_bottom
 from .sections import SectionBasis, TensorWord
@@ -44,6 +46,31 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+# Each kind of JSON object the decoders read: the name its errors give it,
+# its required keys and its optional keys.
+OBJECTS = {
+    "preposet": ("a preposet", ("ground",), ("rel", "bottom")),
+    "subset function": ("a subset function", ("ground", "values"), ()),
+    "orbit point": ("an orbit point", ("orbit", "coords"), ()),
+    "integer point": ("an integer point", ("coords",), ()),
+    "open union": ("an open union", ("shape", "orbits"), ()),
+}
+
+
+def _fields(obj, what: str, required, optional=()) -> None:
+    """ValueError unless obj is a JSON object holding every key of `required`
+    and no key outside `required` and `optional`; the message names the key
+    and `what`, the object that holds it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for k in obj:
+        if k not in required and k not in optional:
+            raise ValueError(f"{what} has unknown key {k!r}")
+    for k in required:
+        if k not in obj:
+            raise ValueError(f"{what} is missing {k!r}")
+
+
 def parse_label(key: str):
     try:
         return int(key)
@@ -54,6 +81,8 @@ def parse_label(key: str):
 def _decode_label_keys(obj: dict, what: str) -> dict:
     """An object keyed by str(label), keyed by label; ValueError naming the
     label when two keys parse to it ("1" and "01")."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
     out = {}
     for key, v in obj.items():
         x = parse_label(key)
@@ -132,13 +161,7 @@ def decode_composition(obj) -> Composition:
     return Composition.of(decode_labels(l, "a lump") for l in obj)
 
 
-def encode_bijection(sigma: Bijection) -> dict:
-    return {str(a): b for a, b in sigma.pairs}
-
-
 def decode_bijection(obj) -> Bijection:
-    if not isinstance(obj, dict):
-        raise ValueError("a bijection must be an object mapping labels to labels")
     pairs = _decode_label_keys(obj, "a bijection")
     return Bijection.of({x: decode_label(v) for x, v in pairs.items()})
 
@@ -167,8 +190,7 @@ def encode_preposet(p: AugPreposet) -> dict:
 
 
 def decode_preposet(obj) -> AugPreposet:
-    if not isinstance(obj, dict) or "ground" not in obj:
-        raise ValueError("a preposet must be an object with a 'ground' array")
+    _fields(obj, *OBJECTS["preposet"])
     ground = decode_ground(obj["ground"])
     bottom = obj.get("bottom", False)
     if not isinstance(bottom, bool):
@@ -204,8 +226,7 @@ encode_affine_point = encode_coweight
 
 
 def _decode_int_point(kind: type, obj) -> AffinePoint:
-    if not isinstance(obj, dict) or not isinstance(obj.get("coords"), dict):
-        raise ValueError("expected an object with a 'coords' mapping")
+    _fields(obj, *OBJECTS["integer point"])
     coords = _decode_label_keys(obj["coords"], "a point's 'coords'")
     coords = {x: decode_int(v, f"coordinate {x!r}") for x, v in coords.items()}
     return kind.of(GroundSet.of(coords), coords)
@@ -226,7 +247,7 @@ def encode_point_set(pts: PointSet) -> list:
 
 
 # ---------------------------------------------------------------------------
-# subset functions and plates
+# subset functions
 
 
 def encode_bf(z: BooleanFunction) -> dict:
@@ -235,8 +256,9 @@ def encode_bf(z: BooleanFunction) -> dict:
 
 
 def decode_bf(obj) -> BooleanFunction:
-    if not isinstance(obj, dict) or "ground" not in obj or not isinstance(obj.get("values"), dict):
-        raise ValueError("a subset function must carry 'ground' and 'values'")
+    _fields(obj, *OBJECTS["subset function"])
+    if not isinstance(obj["values"], dict):
+        raise ValueError("a subset function's 'values' must be a JSON object")
     ground = decode_ground(obj["ground"])
     n = len(ground)
     table, keys = {}, {}
@@ -256,34 +278,12 @@ def decode_bf(obj) -> BooleanFunction:
     return BooleanFunction(ground, tuple(table[m] for m in range(1 << n)))
 
 
-def encode_plate(P: Plate) -> dict:
-    return {"H": encode_composition(P.H), "z": encode_bf(P.z)}
-
-
-def decode_plate(obj) -> Plate:
-    if not isinstance(obj, dict) or "H" not in obj or "z" not in obj:
-        raise ValueError("a plate must carry 'H' and 'z'")
-    return Plate(decode_composition(obj["H"]), decode_bf(obj["z"]))
-
-
 # ---------------------------------------------------------------------------
 # section bases and tensor words
 
 
 def encode_section_basis(s: SectionBasis) -> dict:
-    return {
-        "z": encode_bf(s.z),
-        "points": encode_point_set(s.points),
-    }
-
-
-def decode_section_basis(obj) -> SectionBasis:
-    if not isinstance(obj, dict) or "z" not in obj or not isinstance(obj.get("points"), list):
-        raise ValueError("a section basis must carry 'z' and a 'points' array")
-    return SectionBasis(
-        decode_bf(obj["z"]),
-        tuple(decode_affine_point(p) for p in obj["points"]),
-    )
+    return {"z": encode_bf(s.z), "points": encode_point_set(s.points)}
 
 
 def encode_tensor_word(w: TensorWord, encode_part) -> dict:
@@ -304,11 +304,8 @@ def encode_point(x: PermPoint) -> dict:
 
 
 def decode_point(obj) -> PermPoint:
-    if not isinstance(obj, dict) or "orbit" not in obj or "coords" not in obj:
-        raise ValueError("a point must carry 'orbit' and 'coords'")
+    _fields(obj, *OBJECTS["orbit point"])
     orbit = decode_composition(obj["orbit"])
-    if not isinstance(obj["coords"], dict):
-        raise ValueError("a point's 'coords' must be an object")
     coords = _decode_label_keys(obj["coords"], "a point's 'coords'")
     coords = {x: decode_rational(v) for x, v in coords.items()}
     _require_within(coords, orbit.ground, "a coordinate")
@@ -331,10 +328,9 @@ def encode_open(U: ToricOpen) -> dict:
 
 
 def decode_open(obj) -> ToricOpen:
-    if not isinstance(obj, dict) or "shape" not in obj or not isinstance(obj.get("orbits"), list):
-        raise ValueError("an open union must carry 'shape' and an 'orbits' array")
-    if not all(isinstance(tup, list) for tup in obj["orbits"]):
-        raise ValueError("each orbit of an open union must be an array of compositions")
+    _fields(obj, *OBJECTS["open union"])
+    if not isinstance(obj["orbits"], list) or not all(isinstance(t, list) for t in obj["orbits"]):
+        raise ValueError("an open union's 'orbits' must be an array of arrays of compositions")
     shape = decode_composition(obj["shape"])
     orbits = frozenset(
         tuple(decode_composition(H) for H in tup) for tup in obj["orbits"]

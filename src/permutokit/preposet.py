@@ -162,13 +162,6 @@ def _closed_upward(rows: tuple[int, ...], S: int) -> bool:
     return not any(r & S for t, r in enumerate(rows) if not S >> t & 1)
 
 
-def split_admissible(p: Preposet, S: Iterable, T: Iterable) -> bool:
-    """Whether (S,T) <= p, i.e. the relation of p is contained in the total
-    relation of (S|T): no label of T is related to a label of S."""
-    S_mask, _ = _split_masks(p.ground, S, T)
-    return _closed_upward(p.rows, S_mask)
-
-
 def o_comul(
     p: AugPreposet, S: Iterable, T: Iterable
 ) -> tuple[AugPreposet, AugPreposet]:

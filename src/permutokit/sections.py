@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import _kernels
-from .boolfun import BooleanFunction, bf_comul, bf_mul, hei
+from .boolfun import BooleanFunction, bf_mul, hei
 from .cones import (
     AffinePoint,
     CoweightVector,
@@ -162,11 +162,3 @@ def sections_comul(s: SectionBasis, h: AffinePoint, S: Iterable, T: Iterable) ->
     if pairing(h, S) != s.z.value(S):
         return TensorWord.zero()
     return TensorWord((restrict_point(h, S), restrict_point(h, T)))
-
-
-def sections_comul_components(
-    s: SectionBasis, S: Iterable, T: Iterable
-) -> tuple[SectionBasis, SectionBasis]:
-    """The two carrier bases a nonzero sections_comul lands in."""
-    z1, z2 = bf_comul(s.z, S, T)
-    return global_sections(z1), global_sections(z2)

@@ -49,7 +49,6 @@ from permutokit.preposet import (
     is_bottom,
     o_comul,
     o_mul,
-    split_admissible,
     total_of_composition,
 )
 from permutokit.sections import co_mul, global_sections, sections_mul
@@ -62,6 +61,7 @@ from permutokit.setcomp import (
     restrict,
     two_block_decompositions,
 )
+from split_oracle import split_admissible
 
 GROUNDS = {n: GroundSet.of(range(1, n + 1)) for n in (1, 2, 3, 4)}
 

@@ -28,10 +28,10 @@ from permutokit.preposet import (
     o_comul,
     o_mul,
     restrict_preposet,
-    split_admissible,
     total_of_composition,
 )
 from permutokit.setcomp import Composition, GroundSet, _split_blocks, two_block_decompositions
+from split_oracle import split_admissible
 
 
 def _solve_exact(cols, target):

@@ -15,10 +15,10 @@ from permutokit.boolfun import BooleanFunction
 from permutokit.cli import main
 from permutokit.cones import CoweightVector
 from permutokit.opens import open_of_preposet
-from permutokit.plates import AffinePoint, Plate
+from permutokit.plates import AffinePoint
 from permutokit.points import PermPoint
 from permutokit.preposet import Bottom, Preposet
-from permutokit.sections import TensorWord, global_sections
+from permutokit.sections import TensorWord
 from permutokit.setcomp import Bijection, Composition, GroundSet, Perm, restrict
 from test_cli_commands import CHECK_ARGV, REQUESTS
 
@@ -94,7 +94,7 @@ class TestRoundTrips:
 
     def test_bijection(self):
         sig = Bijection.of({1: 2, 2: 3, 3: 1})
-        assert jsonio.decode_bijection(jsonio.encode_bijection(sig)) == sig
+        assert jsonio.decode_bijection({"1": 2, "2": 3, "3": 1}) == sig
         with pytest.raises(ValueError):
             jsonio.decode_bijection([[1, 2]])
 
@@ -163,14 +163,6 @@ class TestRoundTrips:
             jsonio.decode_bf(broken)
         with pytest.raises(ValueError):
             jsonio.decode_bf({"values": {}})
-
-    def test_plate(self):
-        P = Plate(comp([1, 2], [3]), bf([1, 2, 3], PERM3))
-        assert jsonio.decode_plate(jsonio.encode_plate(P)) == P
-
-    def test_section_basis(self):
-        s = global_sections(bf([1, 2, 3], PERM3))
-        assert jsonio.decode_section_basis(jsonio.encode_section_basis(s)) == s
 
     def test_tensor_word(self):
         assert jsonio.encode_tensor_word(TensorWord.zero(), jsonio.encode_affine_point) == {
@@ -253,10 +245,6 @@ class TestStrictDecoding:
     def test_open_orbits_are_arrays(self):
         with pytest.raises(ValueError, match="orbit"):
             jsonio.decode_open({"shape": [[1]], "orbits": [5]})
-
-    def test_section_basis_points_are_an_array(self):
-        with pytest.raises(ValueError, match="'points' array"):
-            jsonio.decode_section_basis({"z": perm3_json(), "points": 5})
 
 
 # ---------------------------------------------------------------------------
@@ -622,3 +610,108 @@ class TestCliParseMemo:
             assert cli_mod._parsed.cache_info().currsize <= cli_mod._PARSED_MAX
         info = cli_mod._parsed.cache_info()
         assert info.maxsize == info.currsize == cli_mod._PARSED_MAX
+
+
+class TestUnknownKeys:
+    """Every JSON object is checked against its row of jsonio.OBJECTS, and
+    the stdin payload against its command's keys plus "schema": an unknown
+    key at any depth exits 2 with one error line naming the key."""
+
+    # (argv, payload, the error line), one unknown key each: a misspelt
+    # relation key, one per object kind, the payload's top level, and a
+    # "schema" inside an object, where it is no envelope
+    CASES = {
+        "rels": (
+            ["cone", "points", "--bound", "1"],
+            {"p": {"ground": [1, 2], "rels": [[1, 2]]}},
+            "error: a preposet has unknown key 'rels'",
+        ),
+        "preposet": (
+            ["preposet", "upward"],
+            {"p": {"ground": [1, 2], "rel": [], "bogus": 1}},
+            "error: a preposet has unknown key 'bogus'",
+        ),
+        "subset function": (
+            ["bf", "is-gp"],
+            {"z": {"ground": [1], "values": {"": 0, "1": 1}, "valuez": {}}},
+            "error: a subset function has unknown key 'valuez'",
+        ),
+        "orbit point": (
+            ["point", "comul"],
+            {"x": {"orbit": [[1], [2]], "coords": {"1": "1", "2": "3"}, "shape": []},
+             "S": [1], "T": [2]},
+            "error: an orbit point has unknown key 'shape'",
+        ),
+        "integer point": (
+            ["cone", "contains"],
+            {"p": {"ground": [1, 2]}, "h": {"coords": {"1": 1, "2": -1}, "orbit": [[1, 2]]}},
+            "error: an integer point has unknown key 'orbit'",
+        ),
+        "open union": (
+            ["opens", "pullback", "--via", "delta"],
+            {"F": [[1], [2]], "U": {"shape": [[1], [2]], "orbits": [], "rel": []}},
+            "error: an open union has unknown key 'rel'",
+        ),
+        "payload": (
+            ["comp", "tits"],
+            {"F": [[1]], "G": [[1]], "bogus": 1},
+            "error: stdin payload has unknown key 'bogus'",
+        ),
+        "nested schema": (
+            ["preposet", "upward"],
+            {"p": {"schema": "permutokit/1", "ground": [1, 2]}},
+            "error: a preposet has unknown key 'schema'",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_unknown_key_exits_two_naming_it(self, monkeypatch, capsys, name):
+        argv, payload, line = self.CASES[name]
+        assert run_cli(monkeypatch, capsys, argv, payload) == (2, "", line + "\n")
+
+    def test_every_object_kind_has_a_case(self):
+        assert set(jsonio.OBJECTS) <= set(self.CASES)
+
+    def test_top_level_schema_is_still_accepted(self, monkeypatch, capsys):
+        payload = {"F": [[1, 2], [3]], "G": [[3], [1, 2]]}
+        bare = run_cli(monkeypatch, capsys, ["comp", "tits"], payload)
+        assert bare[0] == 0
+        with_schema = {"schema": jsonio.SCHEMA, **payload}
+        assert run_cli(monkeypatch, capsys, ["comp", "tits"], with_schema) == bare
+
+    def test_the_cases_fail_when_unknown_keys_are_ignored(self, monkeypatch, capsys):
+        fields = jsonio._fields
+
+        def lenient(obj, what, required, optional=()):
+            fields(obj, what, required, tuple(obj) if isinstance(obj, dict) else optional)
+
+        monkeypatch.setattr(jsonio, "_fields", lenient)
+        for name, (argv, payload, _) in self.CASES.items():
+            code, out, err = run_cli(monkeypatch, capsys, argv, payload)
+            assert code == 0 and out and not err, name
+
+
+class TestSchemaTable:
+    def test_every_payload_key_resolves_to_a_decoder(self):
+        named = set()
+        for words, command in cli_mod.COMMANDS.items():
+            for key in command.keys:
+                if isinstance(key, tuple):
+                    assert callable(key[1]), words
+                else:
+                    assert callable(cli_mod._DECODE[key]), (words, key)
+                    named.add(key)
+        assert named == set(cli_mod._DECODE)
+
+    def test_every_row_is_read_by_some_command(self, monkeypatch, capsys):
+        read = set()
+        fields = jsonio._fields
+
+        def spy(obj, what, required, optional=()):
+            read.add((what, tuple(required), tuple(optional)))
+            fields(obj, what, required, optional)
+
+        monkeypatch.setattr(jsonio, "_fields", spy)
+        for words, (flags, payload) in REQUESTS.items():
+            assert run_cli(monkeypatch, capsys, [*words, *flags], payload)[0] == 0, words
+        assert set(jsonio.OBJECTS.values()) <= read

@@ -18,12 +18,12 @@ from permutokit.preposet import (
     preposet_leq,
     relabel_preposet,
     restrict_preposet,
-    split_admissible,
     total_of_composition,
     upward_masks,
     upward_pairs,
 )
 from permutokit.setcomp import Bijection, Composition, GroundSet, all_compositions
+from split_oracle import split_admissible
 
 
 def pre(ground, *pairs):

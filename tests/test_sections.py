@@ -13,7 +13,6 @@ from permutokit.preposet import (
     enumerate_preposets,
     o_comul,
     o_mul,
-    split_admissible,
     total_of_composition,
 )
 from permutokit.sections import (
@@ -23,10 +22,10 @@ from permutokit.sections import (
     co_mul,
     global_sections,
     sections_comul,
-    sections_comul_components,
     sections_mul,
 )
 from permutokit.setcomp import Composition, GroundSet, two_block_decompositions
+from split_oracle import split_admissible
 
 
 def pt(labels, *coords):
@@ -35,6 +34,12 @@ def pt(labels, *coords):
 
 def bf(labels, values):
     return BooleanFunction(GroundSet.of(labels), tuple(values))
+
+
+def sections_comul_components(s, S, T):
+    """The two carrier bases a nonzero sections_comul lands in."""
+    z1, z2 = bf_comul(s.z, S, T)
+    return global_sections(z1), global_sections(z2)
 
 
 def _random_submodular(rng, labels):
