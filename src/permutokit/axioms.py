@@ -14,13 +14,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 from .boolfun import BooleanFunction, bf_comul, bf_mul, relabel_bf
 from .points import PermPoint, _normalized, point_comul, point_mul, point_relabel
 from .preposet import (
     Bottom,
-    enumerate_aug_preposets,
+    _aug_preposet_list,
     is_bottom,
     o_comul,
     o_mul,
@@ -59,21 +60,23 @@ class LawReport:
 class BimonoidInstance:
     """A carrier of binary operations the harness can exercise.
 
-    elements(ground, rng, budget) returns at most `budget` elements over the
-    ground set; enumerable instances return their full population when it
-    fits the budget. mul takes two elements over disjoint grounds; comul
-    takes an element and an ordered decomposition of its ground set; relabel
-    takes a bijection whose target is the element's ground set. Every
-    element carries its ground set as `.ground`. zero_of builds the
-    absorbing element, and is set exactly for the pointed instances.
+    draw(ground, rng) returns one element over the ground set.
+    population(ground), where set, returns the cached tuple of every element
+    over the ground set: exhaustive mode iterates it and draw picks from it.
+    It is None for the instances that can only be sampled. mul takes two
+    elements over disjoint grounds; comul takes an element and an ordered
+    decomposition of its ground set; relabel takes a bijection whose target
+    is the element's ground set. Every element carries its ground set as
+    `.ground`. zero_of builds the absorbing element, and is set exactly for
+    the pointed instances.
     """
 
     name: str
-    enumerable: bool
-    elements: Callable
+    draw: Callable
     mul: Callable
     comul: Callable
     relabel: Callable
+    population: Optional[Callable] = None
     zero_of: Optional[Callable] = None
     is_zero: Optional[Callable] = None
 
@@ -250,16 +253,10 @@ def perm_naturality_comul_holds(inst, F, G, beta: Perm, elems) -> bool:
     return tuples_equal(inst, lhs, rhs)
 
 
-def merge_independence_mul_holds(inst, F, G, elems, rng) -> bool:
-    return tuples_equal(
-        inst, lift_mul(inst, F, G, elems), lift_mul(inst, F, G, elems, rng)
-    )
-
-
-def merge_independence_comul_holds(inst, F, G, elems, rng) -> bool:
-    return tuples_equal(
-        inst, lift_comul(inst, F, G, elems), lift_comul(inst, F, G, elems, rng)
-    )
+def merge_independence_holds(inst, F, G, elems, rng, lift) -> bool:
+    """The lift (lift_mul or lift_comul) in its fixed order and in a random
+    one agree."""
+    return tuples_equal(inst, lift(inst, F, G, elems), lift(inst, F, G, elems, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +299,7 @@ def _all_bijections(ground: GroundSet):
 
 
 def _one(inst, labels, rng):
-    return inst.elements(GroundSet.of(labels), rng, 1)[0]
+    return inst.draw(GroundSet.of(labels), rng)
 
 
 def _tuple_over(inst, F: Composition, rng) -> tuple:
@@ -338,21 +335,21 @@ def check_all(
     exhaustive: bool = False,
 ) -> list[LawReport]:
     """Run every law; exhaustive mode iterates all decompositions and all
-    elements for enumerable instances, otherwise cases are sampled.
+    elements for instances with a population, otherwise cases are sampled.
 
     Each law is one row: its name, its predicate, the names of the leading
     case fields its counterexample shows, and a lazy source of argument
     tuples. Exhaustive sources are built only in full mode, where
-    `elems_on` asks for the whole population. Every draw comes from one
+    `elems_on` reads the whole population. Every draw comes from one
     generator, law after law and case after case, and later laws' samples
     depend on earlier draws (general-square draws its element tuples even
     in full mode), so the order of rows and of draws within a case is part
     of the reported result."""
     rng = random.Random(seed)
-    full = exhaustive and inst.enumerable
+    full = exhaustive and inst.population is not None
 
     def elems_on(*blocks):
-        return inst.elements(GroundSet.of(x for b in blocks for x in b), rng, 10**9)
+        return inst.population(GroundSet.of(x for b in blocks for x in b))
 
     def one(*blocks):
         return _one(inst, tuple(x for b in blocks for x in b), rng)
@@ -435,8 +432,10 @@ def check_all(
              _random_composition(ground, rng), _random_composition(ground, rng)))),
         ("perm-naturality-mul", perm_naturality_mul_holds, "F G beta elems", perm_nat(False)),
         ("perm-naturality-comul", perm_naturality_comul_holds, "F G beta elems", perm_nat(True)),
-        ("merge-independence-mul", merge_independence_mul_holds, "F G elems", merge(False)),
-        ("merge-independence-comul", merge_independence_comul_holds, "F G elems", merge(True)),
+        ("merge-independence-mul", partial(merge_independence_holds, lift=lift_mul),
+         "F G elems", merge(False)),
+        ("merge-independence-comul", partial(merge_independence_holds, lift=lift_comul),
+         "F G elems", merge(True)),
     ]
     if inst.zero_of is not None:
         rows.append(("zero-absorption", zero_absorption_holds, "y S", sampled(zero)))
@@ -451,21 +450,18 @@ def check_all(
 # instances
 
 
-def _enumerable_elements(population_fn):
-    def elements(ground, rng, budget):
-        full = list(population_fn(ground))
-        if len(full) <= budget:
-            return full
-        return rng.sample(full, budget)
-
-    return elements
+def _pick(population, rng):
+    """One element of a population, picked by rng. A population of one (the
+    empty composition, or a one-label one) gives its element without a draw:
+    the draws made fix every later case, so this is part of each report."""
+    return population[0] if len(population) == 1 else rng.choice(population)
 
 
 def sigma_instance() -> BimonoidInstance:
     return BimonoidInstance(
         name="sigma",
-        enumerable=True,
-        elements=_enumerable_elements(lambda g: _comps(g)),
+        draw=lambda g, rng: _pick(_comps(g), rng),
+        population=_comps,
         mul=concatenate,
         comul=lambda F, S, T: (restrict(F, S), restrict(F, T)),
         relabel=relabel,
@@ -475,8 +471,8 @@ def sigma_instance() -> BimonoidInstance:
 def o_bullet_instance() -> BimonoidInstance:
     return BimonoidInstance(
         name="o-bullet",
-        enumerable=True,
-        elements=_enumerable_elements(lambda g: enumerate_aug_preposets(g)),
+        draw=lambda g, rng: _pick(_aug_preposet_list(g), rng),
+        population=_aug_preposet_list,
         mul=o_mul,
         comul=o_comul,
         relabel=relabel_preposet,
@@ -492,13 +488,9 @@ def _random_bf(ground: GroundSet, rng) -> BooleanFunction:
 
 
 def bf_instance() -> BimonoidInstance:
-    def elements(ground, rng, budget):
-        return [_random_bf(ground, rng) for _ in range(budget)]
-
     return BimonoidInstance(
         name="bf",
-        enumerable=False,
-        elements=elements,
+        draw=_random_bf,
         mul=bf_mul,
         comul=bf_comul,
         relabel=relabel_bf,
@@ -515,13 +507,9 @@ def random_point(ground: GroundSet, rng) -> PermPoint:
 
 
 def points_instance() -> BimonoidInstance:
-    def elements(ground, rng, budget):
-        return [random_point(ground, rng) for _ in range(budget)]
-
     return BimonoidInstance(
         name="points",
-        enumerable=False,
-        elements=elements,
+        draw=random_point,
         mul=point_mul,
         comul=point_comul,
         relabel=point_relabel,

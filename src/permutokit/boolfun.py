@@ -14,19 +14,13 @@ from .setcomp import (
     Bijection,
     Composition,
     GroundSet,
+    _check_size,
     _mask_sum,
     _split_masks,
     _unchecked,
     scatter_table,
     set_bits,
 )
-
-_SIZE_CAP = 12
-
-
-def _check_size(n: int) -> None:
-    if n > _SIZE_CAP:
-        raise ValueError(f"ground sets capped at {_SIZE_CAP} labels")
 
 
 @dataclass(frozen=True)

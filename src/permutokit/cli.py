@@ -45,6 +45,7 @@ from .preposet import (
 )
 from .sections import global_sections, sections_comul, sections_mul
 from .setcomp import (
+    _COMP_CAP,
     GroundSet,
     all_compositions,
     concatenate,
@@ -142,11 +143,6 @@ def _window(points) -> dict:
 def _parts(encode, parts) -> dict:
     """The two factors of a coproduct."""
     return {"parts": [encode(part) for part in parts]}
-
-
-# The list is encoded whole before printing, and a label multiplies the count
-# by about 13: 7 labels give 47293 compositions, 9 labels 7087261.
-_COMP_CAP = 7
 
 
 def _compositions(args, ground) -> dict:

@@ -12,6 +12,7 @@ from typing import Iterable, Optional, Sequence
 from .preposet import (
     AugPreposet,
     Preposet,
+    _aug_preposet_list,
     is_bottom,
     o_mul,
     preposet_leq,
@@ -19,6 +20,7 @@ from .preposet import (
     total_of_composition,
 )
 from .setcomp import (
+    _COMP_CAP,
     Composition,
     GroundSet,
     _comps,
@@ -30,6 +32,13 @@ from .setcomp import (
 )
 
 _SIZE_CAP = 4
+
+
+def _check_labels(ground: GroundSet) -> None:
+    """An open lists orbits of compositions of its labels: refuse one past
+    the composition cap before any composition list is built."""
+    if len(ground) > _COMP_CAP:
+        raise ValueError(f"open sets capped at {_COMP_CAP} labels")
 
 
 @ground_cache
@@ -51,6 +60,7 @@ class ToricOpen:
     orbits: frozenset
 
     def __post_init__(self):
+        _check_labels(self.shape.ground)
         k = self.shape.length()
         grounds = [GroundSet.of(l) for l in self.shape.lumps]
         for tup in self.orbits:
@@ -108,6 +118,7 @@ def _ambient_orbits(ground: GroundSet, pred) -> frozenset:
 def open_of_preposet(p: AugPreposet) -> ToricOpen:
     """The open indexed by a preposet: all orbits whose total relation
     contains the relation of p. The bottom indexes the empty open."""
+    _check_labels(p.ground)
     shape = Composition.one_lump(p.ground)
     orbits = frozenset() if is_bottom(p) else _ambient_orbits(
         p.ground, lambda H: preposet_leq(total_of_composition(H), p)
@@ -150,6 +161,7 @@ def open_product(opens: Sequence[ToricOpen]) -> ToricOpen:
             raise ValueError("factors must have one-lump shapes")
         lumps.append(U.shape.lumps[0])
     shape = Composition.of(lumps)  # raises on overlapping factors
+    _check_labels(shape.ground)
     orbits = frozenset(
         tuple(t[0] for t in tup)
         for tup in itertools.product(*[U.orbits for U in opens])
@@ -174,13 +186,11 @@ def check_indexing(ground: GroundSet) -> IndexingReport:
     """
     if len(ground) > _SIZE_CAP:
         raise ValueError(f"ground set exceeds the size cap {_SIZE_CAP}")
-    from .preposet import enumerate_aug_preposets
-
     checked_mul = 0
     checked_comul = 0
     for F in _comps(ground):
         grounds = [GroundSet.of(lump) for lump in F.lumps]
-        factor_preposets = [list(enumerate_aug_preposets(g)) for g in grounds]
+        factor_preposets = [_aug_preposet_list(g) for g in grounds]
         for ptup in itertools.product(*factor_preposets):
             lhs = pullback_delta(F, open_product([open_of_preposet(p) for p in ptup]))
             joined = reduce(o_mul, ptup) if ptup else Preposet.antichain(ground)
@@ -193,7 +203,7 @@ def check_indexing(ground: GroundSet) -> IndexingReport:
                     checked_comul,
                     f"multiplication identity fails at F={F!r}, parts={ptup!r}",
                 )
-        for p in enumerate_aug_preposets(ground):
+        for p in _aug_preposet_list(ground):
             lhs = pullback_mu(F, open_of_preposet(p))
             if comp_below_preposet(F, p):
                 rhs = open_product(

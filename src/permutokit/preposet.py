@@ -11,7 +11,6 @@ of q, so the antichain (empty relation) is the top element.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
@@ -20,6 +19,7 @@ from .setcomp import (
     Bijection,
     Composition,
     GroundSet,
+    _check_size,
     _restriction_mask,
     _split_masks,
     _unchecked,
@@ -206,6 +206,7 @@ def upward_masks(p: Preposet) -> tuple[int, ...]:
     """The bitmasks S, increasing, of the proper nonempty subsets with
     (S, complement) <= p: those no label outside S is related into."""
     rows = p.rows
+    _check_size(len(rows))
     full = (1 << len(rows)) - 1
     # reach[C]: the labels some label of C is related to, peeling C's lowest bit
     reach = [0] * (full + 1)
@@ -254,6 +255,12 @@ def _preposet_list(ground: GroundSet) -> tuple[Preposet, ...]:
     return tuple(out)
 
 
+@ground_cache
+def _aug_preposet_list(ground: GroundSet) -> tuple[AugPreposet, ...]:
+    """The bottom, then _preposet_list(ground)."""
+    return (Bottom(ground),) + _preposet_list(ground)
+
+
 def enumerate_preposets(ground: GroundSet) -> Iterator[Preposet]:
     """Every preposet on the ground set exactly once, deterministic order."""
     return iter(_preposet_list(ground))
@@ -261,4 +268,4 @@ def enumerate_preposets(ground: GroundSet) -> Iterator[Preposet]:
 
 def enumerate_aug_preposets(ground: GroundSet) -> Iterator[AugPreposet]:
     """Bottom first, then every preposet."""
-    return itertools.chain((Bottom(ground),), _preposet_list(ground))
+    return iter(_aug_preposet_list(ground))

@@ -53,6 +53,16 @@ def scatter_bits(m: int, pos) -> int:
     return sum(1 << p for k, p in enumerate(pos) if m >> k & 1)
 
 
+# Tables over every subset of a ground set hold 2^n entries, as a subset
+# function's values and a preposet's upward reach do: 12 labels give 4096.
+_SUBSET_CAP = 12
+
+
+def _check_size(n: int) -> None:
+    if n > _SUBSET_CAP:
+        raise ValueError(f"ground sets capped at {_SUBSET_CAP} labels")
+
+
 def scatter_table(pos) -> list[int]:
     """scatter_bits(m, pos) for every m below 2^len(pos), in order: each
     position doubles the table, as bit k of m doubles the count below it."""
@@ -486,6 +496,11 @@ def all_compositions(ground: GroundSet) -> Iterator[Composition]:
     # each composition arises from exactly one (sub, position) choice
     for lumps in rec(labels):
         yield _unchecked(Composition, ground=ground, lumps=lumps)
+
+
+# Composition lists are built whole, and a label multiplies their length by
+# about 13: 7 labels give 47293 compositions, 9 labels 7087261.
+_COMP_CAP = 7
 
 
 @ground_cache

@@ -3,15 +3,18 @@ the full law battery on every shipped instance, and mutation sanity checks
 showing that broken operations are actually caught."""
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
+from permutokit import axioms
 from permutokit.axioms import (
     INSTANCES,
     BimonoidInstance,
     LawReport,
+    _random_bf,
     bf_instance,
     check_all,
     lift_comul,
@@ -30,7 +33,14 @@ from permutokit.preposet import (
     enumerate_preposets,
     o_comul,
 )
-from permutokit.setcomp import Bijection, Composition, GroundSet, concatenate, restrict
+from permutokit.setcomp import (
+    Bijection,
+    Composition,
+    GroundSet,
+    all_compositions,
+    concatenate,
+    restrict,
+)
 
 G3 = GroundSet.of([1, 2, 3])
 
@@ -40,7 +50,7 @@ def comp(*lumps):
 
 
 def pick(inst, labels, seed=0):
-    return inst.elements(GroundSet.of(labels), random.Random(seed), 1)[0]
+    return inst.draw(GroundSet.of(labels), random.Random(seed))
 
 
 class TestLiftMul:
@@ -113,7 +123,7 @@ class TestLiftComul:
         inst = sigma_instance()
         F = comp([3], [1], [2])
         one = Composition.one_lump(G3)
-        for x in sigma_instance().elements(G3, random.Random(0), 10**9):
+        for x in sigma_instance().population(G3):
             base = lift_comul(inst, F, one, (x,))
             for seed in range(5):
                 rng = random.Random(seed)
@@ -275,6 +285,67 @@ class TestPinnedReports:
         runs.append(check_all(sigma_instance(), GroundSet.of([1, 2]), exhaustive=True))
         payload = json.dumps([[dataclasses.astuple(r) for r in rs] for rs in runs])
         assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_REPORTS_SHA256
+
+
+def oracle_elements(name):
+    """A separate copy of each instance's element source as one budgeted
+    sampler, elements(ground, rng, budget): at most `budget` elements over
+    the ground, and the whole population, in order, when it fits. The draws
+    of every law case are these, so `draw` and `population` must match it
+    draw for draw."""
+    population = {
+        "sigma": all_compositions,
+        "o-bullet": lambda g: itertools.chain((Bottom(g),), enumerate_preposets(g)),
+    }.get(name)
+    sample = {"bf": _random_bf, "points": random_point}.get(name)
+
+    def elements(ground, rng, budget):
+        if population is None:
+            return [sample(ground, rng) for _ in range(budget)]
+        full = list(population(ground))
+        if len(full) <= budget:
+            return full
+        return rng.sample(full, budget)
+
+    return elements
+
+
+ORACLE_GROUNDS = [GroundSet.of(range(1, n + 1)) for n in range(5)]
+
+
+def draw_mismatches(name: str) -> list:
+    """The (seed, ground size) of each draw, in runs over ground sizes
+    0, 1, ..., 4 twice for seeds 0-29, that differs from the oracle's one
+    element or leaves the generator in another state."""
+    inst, elements = INSTANCES[name](), oracle_elements(name)
+    bad = []
+    for seed in range(30):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for g in ORACLE_GROUNDS * 2:
+            if inst.draw(g, rng) != elements(g, ref, 1)[0] or rng.getstate() != ref.getstate():
+                bad.append((seed, len(g)))
+    return bad
+
+
+class TestElementSources:
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_draws_match_the_oracle(self, name):
+        assert draw_mismatches(name) == []
+
+    @pytest.mark.parametrize("name", ["o-bullet", "sigma"])
+    def test_population_is_the_oracles_in_order(self, name):
+        elements = oracle_elements(name)
+        for g in ORACLE_GROUNDS:
+            assert list(INSTANCES[name]().population(g)) == elements(g, random.Random(0), 10**9)
+
+    def test_sampled_instances_have_no_population(self):
+        assert bf_instance().population is None and points_instance().population is None
+
+    def test_drawing_from_a_population_of_one_is_caught(self, monkeypatch):
+        # sigma has one composition on 0 and 1 labels; drawing it through the
+        # generator shifts every later draw
+        monkeypatch.setattr(axioms, "_pick", lambda population, rng: rng.choice(population))
+        assert (0, 0) in draw_mismatches("sigma")
 
 
 class TestInstanceRegistry:

@@ -1,6 +1,7 @@
 """CLI exit codes at the numeric and memory limits: oversized numbers and
 failed allocations exit 2 with a one-line message, never a traceback (exit 1
 is reserved for law counterexamples)."""
+import hashlib
 import io
 import json
 import tracemalloc
@@ -400,3 +401,72 @@ def test_cone_face_of_a_bottom_checks_the_split(monkeypatch, capsys):
     code, out, err = run_cli(monkeypatch, capsys, ["cone", "face"], payload)
     assert_one_line_error(code, out, err)
     assert err == "error: S,T do not decompose the ground set\n"
+
+
+def _labels(n, start=1):
+    return list(range(start, start + n))
+
+
+# Opens list orbits of the compositions of their labels (47293 at 7 labels,
+# 7087261 at 9), and upward masks read a table over every subset of the
+# ground: a payload past either cap is refused with one line.
+OVER_CAP = {
+    "of-preposet-8-labels": (
+        ["opens", "of-preposet"], {"p": {"ground": _labels(8)}},
+        "open sets capped at 7 labels",
+    ),
+    "pullback-delta-empty-9-label-open": (
+        ["opens", "pullback", "--via", "delta"],
+        {"F": [_labels(9)], "U": {"shape": [_labels(9)], "orbits": []}},
+        "open sets capped at 7 labels",
+    ),
+    # each lump is under the cap, but the product of their composition lists
+    # has 47293^2 tuples
+    "pullback-mu-two-7-label-lumps": (
+        ["opens", "pullback", "--via", "mu"],
+        {"F": [_labels(7), _labels(7, 8)], "U": {"shape": [_labels(14)], "orbits": []}},
+        "open sets capped at 7 labels",
+    ),
+    "preposet-upward-13-labels": (
+        ["preposet", "upward"], {"p": {"ground": _labels(13)}},
+        "ground sets capped at 12 labels",
+    ),
+    "cone-contains-13-labels": (
+        ["cone", "contains"],
+        {"p": {"ground": _labels(13)}, "h": {"coords": {str(x): 0 for x in _labels(13)}}},
+        "ground sets capped at 12 labels",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, payload, message", OVER_CAP.values(), ids=OVER_CAP.keys())
+def test_payload_past_a_cap_exits_two_before_any_composition_list(
+    monkeypatch, capsys, argv, payload, message
+):
+    def no_list(ground):
+        raise AssertionError("a composition list was built")
+
+    monkeypatch.setattr("permutokit.opens._comps", no_list)
+    code, out, err = run_cli(monkeypatch, capsys, argv, payload)
+    assert_one_line_error(code, out, err)
+    assert err == f"error: {message}\n"
+
+
+# At the caps the answers are the same bytes as before the caps existed.
+AT_CAP = {
+    "of-preposet-7-labels": (
+        ["opens", "of-preposet"], {"p": {"ground": _labels(7)}},
+        "62254eaeb407f933efc44f21ce9ed9836ad2ad9b1cf77fa17b3d181ab3a5ef8b",
+    ),
+    "preposet-upward-12-labels": (
+        ["preposet", "upward"], {"p": {"ground": _labels(12)}},
+        "a49fa9dba05ea9f8029dd47158c5d71079bab80110e872ffcaff9e9cf0f34d73",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, payload, sha256", AT_CAP.values(), ids=AT_CAP.keys())
+def test_payload_at_a_cap_answers_unchanged(monkeypatch, capsys, argv, payload, sha256):
+    code, out, err = run_cli(monkeypatch, capsys, argv, payload)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256

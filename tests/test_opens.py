@@ -54,6 +54,13 @@ class TestToricOpen:
         with pytest.raises(ValueError):
             ToricOpen(shape, frozenset({(comp([3]),)}))
 
+    def test_product_past_the_label_cap_is_refused(self):
+        # each factor is within the 7-label cap, their product is not
+        U = ToricOpen.empty(Composition.one_lump(GroundSet.of(range(1, 5))))
+        V = ToricOpen.empty(Composition.one_lump(GroundSet.of(range(5, 9))))
+        with pytest.raises(ValueError, match="open sets capped at 7 labels"):
+            open_product([U, V])
+
 
 class TestOpenOfPreposet:
     def test_complete_gives_dense_orbit_only(self):
