@@ -8,13 +8,15 @@ of COMMANDS, which builds both the argument parser and the dispatch.
 Exit codes: 0 success (boolean query results are still success), 1 a law
 violation or counterexample was found, 2 malformed input or usage error,
 including numbers too large for exact evaluation and windows too large to
-allocate.
+allocate, 141 (128 + SIGPIPE) stdout was closed before the result was
+written.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -335,7 +337,7 @@ def _emit_table(result: dict) -> None:
         print(_scalar_text(result[keys[0]]))
         return
     for k in sorted(keys):
-        print(f"{k}: {json.dumps(result[k], sort_keys=True)}")
+        print(f"{k}: {jsonio.COMPACT.encode(result[k])}")
 
 
 def _read_payload() -> dict:
@@ -378,10 +380,19 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).split()) or type(exc).__name__
         print(f"error: {message}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(jsonio.dumps(jsonio.envelope(result)))
-    else:
-        _emit_table(result)
+    try:
+        if args.format == "json":
+            print(jsonio.dumps(jsonio.envelope(result)))
+        else:
+            _emit_table(result)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (`| head`). Send what is still buffered to
+        # devnull, so the interpreter's flush at exit raises no second error.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     # 1 when a law report or an indexing identity failed
     return 0 if all(r.get("passed", True) for r in result.get("reports", [result])) else 1
 

@@ -42,8 +42,63 @@ def check_envelope(obj) -> None:
         raise ValueError(f"unsupported schema {obj['schema']!r}, expected {SCHEMA!r}")
 
 
+# json.dumps(obj, sort_keys=True): the compact form of table rows and of the
+# sort key of an open's orbits, built once.
+COMPACT = json.JSONEncoder(sort_keys=True)
+_string = json.encoder.encode_basestring_ascii
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for a value
+    built of dicts with str keys, lists, tuples, str, int, bool and None:
+    the only values the CLI emits. The C encoder ignores indent, and the
+    pure-Python one it falls back to costs three times this emitter."""
+    out = []
+    _emit(obj, out.append, "\n")
+    return "".join(out)
+
+
+def _emit(obj, put, nl: str) -> None:
+    """Append obj's indented JSON to a chunk list through its `put`; `nl` is
+    the newline and indent of obj's own line. A module-level function, not
+    a closure over the list, so no reference cycle keeps the chunks alive."""
+    t = type(obj)
+    if t is str:
+        put(_string(obj))
+    elif t is dict:
+        if not obj:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(obj):
+            put(sep)
+            put(_string(key))
+            put(": ")
+            _emit(obj[key], put, inner)
+            sep = comma
+        put(nl + "}")
+    elif t is list or t is tuple:
+        if not obj:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep, comma = "[" + inner, "," + inner
+        for v in obj:
+            put(sep)
+            _emit(v, put, inner)
+            sep = comma
+        put(nl + "]")
+    elif t is int:
+        put(int.__repr__(obj))
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif obj is None:
+        put("null")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 # Each kind of JSON object the decoders read: the name its errors give it,
@@ -132,11 +187,27 @@ def _require_within(labels, ground: GroundSet, what: str) -> None:
             )
 
 
-def decode_rational(v) -> Fraction:
+def _rational(v) -> tuple[int, int]:
+    """(p, q) with p/q = Fraction(str(v)) and q > 0, not reduced. A JSON
+    integer, and a string "p" or "p/q" of decimal digits as encode_point
+    writes it, are read without Fraction's regex; any other form (" 1/2",
+    "1.5", 1.5) goes through it."""
+    if type(v) is int:
+        return v, 1
+    if type(v) is str:
+        num, slash, den = v.partition("/")
+        if num.removeprefix("-").isdecimal() and (den.isdecimal() or not slash):
+            # numerator first, as Fraction reads them: a numerator past int's
+            # digit limit fails before a zero denominator is seen
+            p, q = int(num), int(den) if slash else 1
+            if q == 0:
+                raise ValueError(f"zero denominator in {_shown(v)}")
+            return p, q
     try:
-        return Fraction(str(v))
+        f = Fraction(str(v))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {_shown(v)}") from None
+    return f.numerator, f.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -255,27 +326,52 @@ def encode_bf(z: BooleanFunction) -> dict:
     return {"ground": encode_ground(z.ground), "values": dict(zip(keys, z.values))}
 
 
+def _label_bits(ground: GroundSet) -> dict:
+    """{str(x): 1 << k} for each label x at index k whose text is not empty,
+    holds no comma and parses back to x ("01" parses to 1): the labels a
+    subset key can name by their text alone."""
+    bits = {}
+    for k, x in enumerate(ground.labels):
+        text = str(x)
+        if text and "," not in text and parse_label(text) == x:
+            bits[text] = 1 << k
+    return bits
+
+
+def _parsed_mask(key: str, ground: GroundSet) -> int:
+    labels = [parse_label(part) for part in key.split(",")] if key else []
+    _require_within(labels, ground, f"subset {key!r}")
+    mask = ground.mask(labels)
+    if mask.bit_count() != len(labels):
+        raise ValueError(f"subset {key!r} repeats a label")
+    return mask
+
+
 def decode_bf(obj) -> BooleanFunction:
+    """A key naming labels of _label_bits in canonical order ("1,3") gives its
+    mask bit by bit; any other ("3,1", "", "01") is parsed. Every mask is
+    below 2^n, so 2^n distinct masks are every subset."""
     _fields(obj, *OBJECTS["subset function"])
     if not isinstance(obj["values"], dict):
         raise ValueError("a subset function's 'values' must be a JSON object")
     ground = decode_ground(obj["ground"])
-    n = len(ground)
+    bits = _label_bits(ground)
     table, keys = {}, {}
     for key, v in obj["values"].items():
-        labels = [parse_label(part) for part in key.split(",")] if key else []
-        _require_within(labels, ground, f"subset {key!r}")
-        mask = ground.mask(labels)
-        if mask.bit_count() != len(labels):
-            raise ValueError(f"subset {key!r} repeats a label")
+        mask = 0
+        for part in key.split(","):
+            bit = bits.get(part, 0)
+            if bit <= mask:
+                mask = _parsed_mask(key, ground)
+                break
+            mask |= bit
         if mask in keys:
             raise ValueError(f"subsets {keys[mask]!r} and {key!r} are the same subset")
         keys[mask] = key
         table[mask] = decode_int(v, f"the value of subset {key!r}")
-    missing = [m for m in range(1 << n) if m not in table]
-    if missing:
+    if len(table) != 1 << len(ground):
         raise ValueError("subset function is missing values for some subsets")
-    return BooleanFunction(ground, tuple(table[m] for m in range(1 << n)))
+    return BooleanFunction(ground, tuple(map(table.__getitem__, range(len(table)))))
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +400,17 @@ def encode_point(x: PermPoint) -> dict:
 
 
 def decode_point(obj) -> PermPoint:
+    """Each scalar is read as the integers (p, q) of p/q, and PermPoint
+    divides each lump by its least scalar once."""
     _fields(obj, *OBJECTS["orbit point"])
     orbit = decode_composition(obj["orbit"])
     coords = _decode_label_keys(obj["coords"], "a point's 'coords'")
-    coords = {x: decode_rational(v) for x, v in coords.items()}
+    coords = {x: _rational(v) for x, v in coords.items()}
     _require_within(coords, orbit.ground, "a coordinate")
     for x in orbit.ground:
         if x not in coords:
             raise ValueError(f"a point's 'coords' has no value for label {x!r}")
-    return PermPoint.of(orbit, coords)
+    return PermPoint.from_ratios(orbit, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +421,7 @@ def encode_open(U: ToricOpen) -> dict:
     tuples = [[encode_composition(H) for H in tup] for tup in U.orbits]
     return {
         "shape": encode_composition(U.shape),
-        "orbits": sorted(tuples, key=lambda t: json.dumps(t, sort_keys=True)),
+        "orbits": sorted(tuples, key=COMPACT.encode),
     }
 
 

@@ -29,6 +29,7 @@ from .setcomp import (
     ground_cache,
     refines,
     restrict,
+    sorted_labels,
 )
 
 _SIZE_CAP = 4
@@ -47,6 +48,15 @@ def _down_set(H: Composition) -> frozenset:
     return frozenset(K for K in _comps(H.ground) if refines(K, H))
 
 
+def _covers(lumps: tuple) -> list:
+    """The lumps of each composition made by merging one pair of adjacent
+    lumps."""
+    return [
+        lumps[:i] + (sorted_labels(lumps[i] + lumps[i + 1]),) + lumps[i + 2 :]
+        for i in range(len(lumps) - 1)
+    ]
+
+
 @dataclass(frozen=True)
 class ToricOpen:
     """A union of orbits of a product of permutohedral spaces.
@@ -60,18 +70,24 @@ class ToricOpen:
     orbits: frozenset
 
     def __post_init__(self):
+        """Every coarsening is a chain of merges of two adjacent lumps, so a
+        family closed under those covers, one coordinate at a time, is
+        down-closed. Every tuple's length, then every tuple's grounds, are
+        checked before any cover, so a family with several faults names the
+        same one whatever order the frozenset iterates in."""
         _check_labels(self.shape.ground)
         k = self.shape.length()
-        grounds = [GroundSet.of(l) for l in self.shape.lumps]
-        for tup in self.orbits:
-            if len(tup) != k:
-                raise ValueError("orbit tuple length does not match the shape")
-            for H, g in zip(tup, grounds):
-                if H.ground != g:
-                    raise ValueError("orbit component over the wrong ground set")
-            for j, H in enumerate(tup):
-                for K in _down_set(H):
-                    if tup[:j] + (K,) + tup[j + 1 :] not in self.orbits:
+        if any(len(tup) != k for tup in self.orbits):
+            raise ValueError("orbit tuple length does not match the shape")
+        grounds = tuple(GroundSet.of(l) for l in self.shape.lumps)
+        if any(H.ground != g for tup in self.orbits for H, g in zip(tup, grounds)):
+            raise ValueError("orbit component over the wrong ground set")
+        # over fixed grounds a composition is its lumps
+        family = {tuple(H.lumps for H in tup) for tup in self.orbits}
+        for tup in family:
+            for j, lumps in enumerate(tup):
+                for K in _covers(lumps):
+                    if tup[:j] + (K,) + tup[j + 1 :] not in family:
                         raise ValueError("orbit family is not down-closed")
 
     @staticmethod

@@ -48,10 +48,27 @@ class PermPoint:
     @staticmethod
     def of(orbit: Composition, mapping) -> "PermPoint":
         """Build from raw scalars, normalizing each lump."""
-        raw = tuple(Fraction(mapping[x]) for x in orbit.ground.labels)
-        if any(raw[orbit.ground.index(lump[0])] == 0 for lump in orbit.lumps):
+        return PermPoint.from_ratios(
+            orbit, {x: Fraction(mapping[x]).as_integer_ratio() for x in orbit.ground.labels}
+        )
+
+    @staticmethod
+    def from_ratios(orbit: Composition, ratios: dict) -> "PermPoint":
+        """Build from the raw scalar p/q of each label x, given as the integers
+        (p, q) = ratios[x] with q nonzero, dividing each lump by its least
+        label's scalar in one pass: one Fraction per coordinate."""
+        ground = orbit.ground
+        if any(ratios[lump[0]][0] == 0 for lump in orbit.lumps):
             raise ValueError("coordinates must be nonzero")
-        return PermPoint(orbit, _normalized(orbit, raw))
+        if any(ratios[x][0] == 0 for x in ground.labels):
+            raise ValueError("coordinates must be nonzero Fractions")
+        out, index = [None] * len(ground), ground._index
+        for lump in orbit.lumps:
+            bp, bq = ratios[lump[0]]
+            for x in lump:
+                p, q = ratios[x]
+                out[index[x]] = Fraction(p * bq, q * bp)
+        return _unchecked(PermPoint, orbit=orbit, coords=tuple(out))
 
     @property
     def ground(self) -> GroundSet:

@@ -238,10 +238,14 @@ class Composition:
 
     @staticmethod
     def of(lumps: Iterable[Iterable[Label]]) -> "Composition":
-        """Build from lump contents; the ground set is their union."""
+        """Build from lump contents; the ground set is their union. GroundSet.of
+        refuses a label named twice, in one lump or two, and each lump is
+        sorted here, so an empty lump is all that is left to refuse."""
         canon = tuple(sorted_labels(l) for l in lumps)
         ground = GroundSet.of([x for l in canon for x in l])
-        return Composition(ground, canon)
+        if () in canon:
+            raise ValueError("empty lump")
+        return _unchecked(Composition, ground=ground, lumps=canon)
 
     @staticmethod
     def one_lump(ground: GroundSet) -> "Composition":

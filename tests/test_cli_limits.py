@@ -409,7 +409,9 @@ def _labels(n, start=1):
 
 # Opens list orbits of the compositions of their labels (47293 at 7 labels,
 # 7087261 at 9), and upward masks read a table over every subset of the
-# ground: a payload past either cap is refused with one line.
+# ground: a payload past either cap is refused with one line. A subset
+# function with too few values is refused by counting them, not by looking
+# each of the 2^40 subsets up.
 OVER_CAP = {
     "of-preposet-8-labels": (
         ["opens", "of-preposet"], {"p": {"ground": _labels(8)}},
@@ -436,6 +438,10 @@ OVER_CAP = {
         {"p": {"ground": _labels(13)}, "h": {"coords": {str(x): 0 for x in _labels(13)}}},
         "ground sets capped at 12 labels",
     ),
+    "bf-is-gp-40-labels-one-value": (
+        ["bf", "is-gp"], {"z": {"ground": _labels(40), "values": {"": 0}}},
+        "subset function is missing values for some subsets",
+    ),
 }
 
 
@@ -450,6 +456,24 @@ def test_payload_past_a_cap_exits_two_before_any_composition_list(
     code, out, err = run_cli(monkeypatch, capsys, argv, payload)
     assert_one_line_error(code, out, err)
     assert err == f"error: {message}\n"
+
+
+def test_long_labels_short_of_values_are_refused_within_the_payload_size(monkeypatch, capsys):
+    """Decoding a subset function holds memory bounded by its payload, however
+    long its labels: 12 labels of 40,000 characters with one value are
+    refused as missing values."""
+    labels = [f"{k:02d}" + "x" * 40_000 for k in range(12)]
+    text = json.dumps({"z": {"ground": labels, "values": {"": 0}}})
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    tracemalloc.start()
+    try:
+        code = main(["bf", "is-gp"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: subset function is missing values for some subsets\n")
+    assert peak < 4 * len(text)
 
 
 # At the caps the answers are the same bytes as before the caps existed.

@@ -1,17 +1,25 @@
 """Internal operations build their results without validation; public
-constructors and JSON decoding are the only places __post_init__ runs. These
-tests build the result of every such operation over small grounds (the opens,
-their pullbacks and the cone and plate windows on grounds of at most 3
-labels), run the validation of each result's class on it, and check that none
-is rejected. A window's rows must also be its own read-only array, never the
-cached box it was cut from."""
+constructors are the only places __post_init__ runs. Composition.of,
+PermPoint.of and JSON decoding validate their input in one pass and then
+build unchecked too. These tests build the result of every such operation
+over small grounds (the opens, their pullbacks and the cone and plate windows
+on grounds of at most 3 labels), run the validation of each result's class on
+it, and check that none is rejected. A window's rows must also be its own
+read-only array, never the cached box it was cut from. Every object decoded
+from a pinned CLI payload, or from one of the contract test's mutations of
+them, is validated the same way, and each one-pass decoder must agree with
+its validating oracle (tests/jsonio_oracle.py) on every such value: an equal
+object of the same class, or the same error."""
 import dataclasses
 import itertools
+import json
 import random
 
 import numpy as np
+from hypothesis import HealthCheck, given, settings
 
-from permutokit import _kernels, axioms, setcomp
+import jsonio_oracle
+from permutokit import _kernels, axioms, jsonio, setcomp
 from permutokit.boolfun import bf_comul, bf_mul, relabel_bf
 from permutokit.cones import Box, cone_lattice_points
 from permutokit.opens import open_of_preposet, open_product, pullback_delta, pullback_mu
@@ -41,6 +49,8 @@ from permutokit.setcomp import (
     restrict,
     tits_product,
 )
+from test_cli_commands import REQUESTS
+from test_cli_contract import requests
 
 SPLIT_GROUNDS = [GroundSet.of(range(1, n + 1)) for n in range(5)] + [
     GroundSet.of([1, 2, "a", "b"])
@@ -254,3 +264,113 @@ def test_a_window_aliasing_the_cached_box_is_caught(monkeypatch):
     monkeypatch.setattr(_kernels, "cone_window", aliased)
     faults = {(name, why) for name, _, why in rejected()}
     assert ("cone_lattice_points", "window rows share memory with the cached box") in faults
+
+
+# Every decoder the CLI reads a payload value through.
+DECODERS = (
+    "decode_composition", "decode_preposet", "decode_bf", "decode_point",
+    "decode_open", "decode_coweight", "decode_affine_point", "decode_ground",
+    "decode_bijection", "decode_perm",
+)
+# Payload values are decoded down to this depth: the deepest position a
+# pinned payload's decoders read is an open's label, at 6.
+DECODE_DEPTH = 8
+
+
+def values_in(text):
+    """Every value in a JSON payload down to DECODE_DEPTH, the payload first;
+    none when the payload nests too deeply to parse."""
+    try:
+        stack = [(json.loads(text), 0)]
+    except (RecursionError, ValueError):
+        return []
+    out = []
+    while stack:
+        value, depth = stack.pop()
+        out.append(value)
+        if depth < DECODE_DEPTH and isinstance(value, (dict, list)):
+            inner = value.values() if isinstance(value, dict) else value
+            stack.extend((v, depth + 1) for v in inner)
+    return out
+
+
+def decoding_faults(values):
+    """(decoder, value, fault) for each decoded object that fails validation
+    and each one-pass decoder outcome that differs from its oracle's."""
+    faults = []
+    for value in values:
+        for name in DECODERS:
+            result = jsonio_oracle.outcome(name, value)
+            why = rejection(result[1]) if result[0] == "ok" else None
+            if why is not None:
+                faults.append((name, value, why))
+    faults += jsonio_oracle.differences(values)
+    return faults
+
+
+PINNED_VALUES = [v for _, payload in REQUESTS.values() for v in values_in(json.dumps(payload))]
+
+
+def test_decoded_pinned_payloads_are_accepted_and_match_the_oracles():
+    assert decoding_faults(PINNED_VALUES) == []
+
+
+@settings(
+    max_examples=1500,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(requests())
+def test_decoded_mutated_payloads_are_accepted_and_match_the_oracles(request):
+    assert decoding_faults(values_in(request[2])) == []
+
+
+ODD_VALUES = [
+    # subset functions whose labels print as other labels, or as nothing
+    {"ground": [1, "01"], "values": {"": 0, "1": 1, "01": 2, "1,01": 3}},
+    {"ground": [1, "1"], "values": {"": 0, "1": 1, "1,1": 2}},
+    {"ground": ["", 2], "values": {"": 0, "2": 1, ",2": 2, "2,": 3}},
+    {"ground": ["a,b", "a", "b"], "values": {"": 0, "a": 1, "b": 2, "a,b": 3}},
+    {"ground": [" 2", 2], "values": {"": 0, "2": 1, " 2": 2, "2, 2": 3}},
+    # keys out of canonical order, repeated, foreign or missing
+    {"ground": [1, 2, 3], "values": {
+        "": 0, "1": 1, "2": 1, "3": 1, "2,1": 2, "3,1": 2, "3,2": 2, "3,1,2": 3}},
+    {"ground": [1, 2], "values": {"": 0, "1": 1, "2": 1, "1,2": 2, "2,1": 2}},
+    {"ground": [1, 2], "values": {"": 0, "1": 1, "2": 1, "1,1": 2}},
+    {"ground": [1, 2], "values": {"": 0, "1": 1, "2": 1, "1,3": 2}},
+    {"ground": [1, 2], "values": {"": 0, "1": 1, "2": 1}},
+    {"ground": [1, 2], "values": {"": 1, "1": 1, "2": 1, "1,2": 2}},
+    {"ground": [1, 2], "values": {"": 0, "1": 1, "2": 1, "1,2": "2"}},
+    {"ground": list(range(13)), "values": {"": 0}},
+    # rational coordinates in every form Fraction reads, and some it does not
+    *({"orbit": [[1, 2]], "coords": {"1": c, "2": "3/4"}} for c in (
+        "1/2", "-1/2", "-0", "0/5", "1/0", "3/-4", "+3", " 1/2", "1 /2", "1.5", "1e3",
+        "1E-3", "1_000", "\u0663/\u0664", "3/", "/3", "--3", "-", "", "inf", "nan",
+        1.5, 1e300, 7, -7, 0, True, None, [1], {"1": 1},
+        # past int's digit limit: the numerator is read first, as Fraction does
+        "1" * 5000 + "/0", "-" + "1" * 5000 + "/0", "1" * 5000 + "/" + "1" * 4400,
+        "1/" + "1" * 4400, "1" * 4400)),
+    *({"orbit": [[1], [2]], "coords": {"1": "2", "2": c}} for c in ("0", "-4/6", 0, "0/3")),
+    {"orbit": [[2], [1]], "coords": {"1": "2", "2": "3", "3": "1"}},
+    {"orbit": [[2], [1]], "coords": {"1": "2"}},
+    {"orbit": [[1, 2]], "coords": {"1": "2", "01": "1/0"}},
+    # compositions with an empty lump, a repeat, or both
+    [[1], []], [[1, 1]], [[1], [1]], [[], [1, 1]], [[2, "a", 1], [0]], [[True]],
+]
+
+
+def test_odd_subset_keys_and_rationals_match_the_oracles():
+    assert decoding_faults(ODD_VALUES) == []
+
+
+def test_shifted_label_bits_are_caught(monkeypatch):
+    label_bits = jsonio._label_bits
+
+    def shifted(ground):
+        n = len(ground)
+        return {text: 1 << (bit.bit_length() % n) for text, bit in label_bits(ground).items()}
+
+    monkeypatch.setattr(jsonio, "_label_bits", shifted)
+    assert {name for name, *_ in jsonio_oracle.differences(PINNED_VALUES)} == {"decode_bf"}

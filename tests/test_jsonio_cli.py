@@ -3,10 +3,16 @@ command-line front end run in-process through main()."""
 import dataclasses
 import io
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import permutokit.cli as cli_mod
 from permutokit import jsonio
@@ -21,6 +27,8 @@ from permutokit.preposet import Bottom, Preposet
 from permutokit.sections import TensorWord
 from permutokit.setcomp import Bijection, Composition, GroundSet, Perm, restrict
 from test_cli_commands import CHECK_ARGV, REQUESTS
+
+import permutokit
 
 G3 = GroundSet.of([1, 2, 3])
 
@@ -57,6 +65,19 @@ def perm3_json():
     }
 
 
+# JSON values as the CLI emits them: str keys; strings with quotes,
+# backslashes, control and non-ASCII characters; ints past 2^63; tuples
+# beside lists; empty containers at any depth.
+TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e') | st.characters())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
 class TestEnvelope:
     def test_envelope_carries_schema(self):
         assert jsonio.envelope({"x": 1}) == {"schema": "permutokit/1", "x": 1}
@@ -74,6 +95,16 @@ class TestEnvelope:
         text = jsonio.dumps(jsonio.envelope({"b": 1, "a": [2, 3]}))
         assert text.index('"a"') < text.index('"b"')
         assert json.loads(text) == {"schema": "permutokit/1", "a": [2, 3], "b": 1}
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(JSON_VALUES)
+    def test_dumps_matches_json_dumps_byte_for_byte(self, value):
+        assert jsonio.dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_dumps_refuses_what_json_cannot_encode(self):
+        for value in ({"x": {1, 2}}, [object()]):
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                jsonio.dumps(value)
 
     def test_parse_label_restores_integer_keys(self):
         assert jsonio.parse_label("7") == 7
@@ -404,6 +435,32 @@ class TestCliBasics:
         )
         assert code == 0
         assert json.loads(out)["point"] == {"coords": {"1": 2, "2": 2, "3": 2}}
+
+
+class TestClosedStdout:
+    """A reader that leaves early (`| head -c 10`) closes the pipe under a
+    reply longer than the pipe holds: exit 141 (128 + SIGPIPE), not 1, and no
+    traceback, whether stdout is buffered or not."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_a_closed_pipe_exits_141_without_a_traceback(self, unbuffered):
+        src = str(pathlib.Path(permutokit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+        argv = ["comp", "enumerate", "--size", "6", "--format", "json"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "permutokit.cli", *argv],
+            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=20)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert head == b'{\n  "compo'
+        assert proc.returncode == 141, err
+        assert b"Traceback" not in err and b"Error" not in err, err
 
 
 class TestCliErrors:

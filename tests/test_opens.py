@@ -1,6 +1,7 @@
 """Invariant open sets as down-closed orbit families: construction, the
 preposet-indexed opens, pullbacks along product and forgetting, and the
 exhaustive indexing check."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,7 +26,14 @@ from permutokit.preposet import (
     is_bottom,
     o_mul,
 )
-from permutokit.setcomp import Composition, GroundSet, all_compositions, concatenate, restrict
+from permutokit.setcomp import (
+    Composition,
+    GroundSet,
+    all_compositions,
+    concatenate,
+    refines,
+    restrict,
+)
 
 
 def comp(*lumps):
@@ -60,6 +68,66 @@ class TestToricOpen:
         V = ToricOpen.empty(Composition.one_lump(GroundSet.of(range(5, 9))))
         with pytest.raises(ValueError, match="open sets capped at 7 labels"):
             open_product([U, V])
+
+
+def down_set_closed(orbits) -> bool:
+    """Down-closure as ToricOpen checked it before it checked covers: every
+    coarsening of every coordinate of every tuple stays in the family."""
+    for tup in orbits:
+        for j, H in enumerate(tup):
+            for K in frozenset(K for K in all_compositions(H.ground) if refines(K, H)):
+                if tup[:j] + (K,) + tup[j + 1 :] not in orbits:
+                    return False
+    return True
+
+
+def accepted(shape, orbits) -> bool:
+    try:
+        ToricOpen(shape, frozenset(orbits))
+    except ValueError as exc:
+        assert str(exc) == "orbit family is not down-closed"
+        return False
+    return True
+
+
+def universe(shape):
+    return list(itertools.product(*[all_compositions(GroundSet.of(l)) for l in shape.lumps]))
+
+
+class TestCoverCheck:
+    """ToricOpen checks each coordinate's covers (one adjacent merge) where
+    it checked the whole down-set; the two accept the same families."""
+
+    @pytest.mark.parametrize("lumps", [
+        [], [[1]], [[1, 2]], [[1, 2, 3]], [[1], [2]], [[1], [2, 3]], [[2, 3], [1]], [["a"], [1, 2]],
+    ])
+    def test_every_family_on_three_labels_agrees_with_the_down_set_check(self, lumps):
+        shape = Composition.of(lumps)
+        tuples = universe(shape)
+        for r in range(len(tuples) + 1):
+            for family in itertools.combinations(tuples, r):
+                assert accepted(shape, family) == down_set_closed(frozenset(family)), family
+
+    @pytest.mark.parametrize("lumps", [[[1, 2, 3, 4]], [[1, 2], [3, 4]], [[1], [2, 3, 4]]])
+    def test_sampled_families_on_four_labels_agree_with_the_down_set_check(self, lumps):
+        shape = Composition.of(lumps)
+        tuples = universe(shape)
+        rng = random.Random(7)
+        for _ in range(300):
+            closed = ToricOpen.closed(shape, rng.sample(tuples, rng.randint(1, 3))).orbits
+            for family in (closed, closed - {rng.choice(sorted(closed, key=repr))},
+                           set(rng.sample(tuples, rng.randint(0, len(tuples))))):
+                assert accepted(shape, family) == down_set_closed(frozenset(family)), family
+
+    def test_shape_faults_are_named_before_closure_faults(self):
+        shape = Composition.of([["a", "b"], ["c"]])
+        fine = (comp(["a"], ["b"]), comp(["c"]))  # its cover ({a,b}), ({c}) is absent
+        short = (comp(["a", "b"]),)
+        foreign = (comp(["a", "b"]), comp(["d"]))
+        with pytest.raises(ValueError, match="orbit tuple length does not match the shape"):
+            ToricOpen(shape, frozenset({fine, foreign, short}))
+        with pytest.raises(ValueError, match="orbit component over the wrong ground set"):
+            ToricOpen(shape, frozenset({fine, foreign}))
 
 
 class TestOpenOfPreposet:
