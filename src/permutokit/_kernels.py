@@ -1,6 +1,10 @@
 """Integer lattice kernels: window enumeration and halfspace filtering, in
-numpy. int64 arithmetic is exact only while every sum stays in range, so each
-window is proved in range by `check_int64_window` before it is enumerated.
+numpy. Fixed-width arithmetic is exact only while every sum stays in range,
+so each window is proved in range by `check_int64_window` before it is
+enumerated. The same proof picks the type: a window whose sums reach at most
+n * coord_max is enumerated and filtered in `exact_type(n * coord_max)`, the
+narrowest of int8, int16, int32 and int64 that holds them, and returns int64
+rows.
 
 Every subset sum comes from one primitive, `subset_sums`: the mask-major
 table of a row block's coordinate sums over all 2^n subsets, built by
@@ -25,12 +29,17 @@ import numpy as np
 INT64_SAFE = 1 << 62
 
 # Largest candidate grid ranged_sum_box will allocate, in rows; building the
-# grid takes about 8 * (n + 1) bytes per row, plus a copy of the kept rows.
+# grid takes about n + 1 values of its exact_type per row, plus an int64 copy
+# of the kept rows.
 ROW_BUDGET = 1 << 24
 
 # Most cells (subsets times rows) of a subset-sum table formed at once,
-# 32 MiB in int64; larger row blocks go through lattice_filter in chunks.
+# 32 MiB in int64 and 4 MiB in int8; larger row blocks go through
+# lattice_filter in chunks.
 FILTER_CELLS = 1 << 22
+
+# each narrow signed type with the largest magnitude it holds on both sides
+_NARROW = ((1 << 7) - 1, np.int8), ((1 << 15) - 1, np.int16), ((1 << 31) - 1, np.int32)
 
 
 def check_int64_window(n: int, coord_max: int, values=()) -> None:
@@ -45,15 +54,39 @@ def check_int64_window(n: int, coord_max: int, values=()) -> None:
         raise ValueError("window exceeds the exact int64 range (2^62)")
 
 
-def subset_sums(rows) -> np.ndarray:
-    """The coordinate sums of each row over every subset: a (2^n, N) int64
-    array whose entry [m, i] sums rows[i, k] over the bits k of mask m.
+def exact_type(reach: int) -> type:
+    """The narrowest signed integer type holding every integer in
+    [-reach - 1, reach]: int8, int16 or int32, and int64 otherwise.
 
-    rows: (N, n) int64. Built by doubling, n broadcast adds in all: the
-    block of masks with top bit k is the block below it plus column k."""
-    cols = np.ascontiguousarray(np.asarray(rows, dtype=np.int64).T)
+    reach is a proved bound on every sum a window forms, such as the
+    n * coord_max of check_int64_window, which keeps it below 2^62."""
+    for top, t in _NARROW:
+        if reach <= top:
+            return t
+    return np.int64
+
+
+def clipped_bounds(values, reach: int) -> np.ndarray:
+    """values clipped to [-reach - 1, reach], as an array of exact_type(reach).
+
+    Against sums of magnitude at most reach, a value at or above reach never
+    binds and one below -reach no sum meets; the clip keeps both so, and so
+    keeps every comparison."""
+    return np.minimum(np.maximum(values, -reach - 1), reach).astype(exact_type(reach))
+
+
+def subset_sums(rows, reach: int) -> np.ndarray:
+    """The coordinate sums of each row over every subset: a (2^n, N) array
+    of type exact_type(reach) whose entry [m, i] sums rows[i, k] over the
+    bits k of mask m.
+
+    rows: (N, n) integers; reach bounds |every subset sum of every row|.
+    Built by doubling, n broadcast adds in all: the block of masks with top
+    bit k is the block below it plus column k."""
+    t = exact_type(reach)
+    cols = np.asarray(rows).T.astype(t, order="C")
     n, N = cols.shape
-    out = np.empty((1 << n, N), dtype=np.int64)
+    out = np.empty((1 << n, N), dtype=t)
     out[0] = 0
     for k in range(n):
         half = 1 << k
@@ -61,19 +94,21 @@ def subset_sums(rows) -> np.ndarray:
     return out
 
 
-def lattice_filter(cands, bounds) -> np.ndarray:
+def lattice_filter(cands, bounds, reach: int) -> np.ndarray:
     """Boolean mask of the candidate rows whose coordinate sum over every
     subset m is at most bounds[m].
 
-    cands: (N, n) int64; bounds: 2^n int64, one bound per subset bitmask.
-    The subset-sum table is formed for at most FILTER_CELLS cells at a time.
+    cands: (N, n) integers; bounds: 2^n integers, one bound per subset
+    bitmask; reach bounds |every subset sum of every candidate|, and the
+    table and the clipped bounds are formed in exact_type(reach). The
+    subset-sum table is formed for at most FILTER_CELLS cells at a time.
     """
-    cands = np.asarray(cands, dtype=np.int64)
-    bounds = np.asarray(bounds, dtype=np.int64)[:, None]
+    cands = np.asarray(cands)
+    bounds = clipped_bounds(bounds, reach)[:, None]
     out = np.empty(cands.shape[0], dtype=np.bool_)
     step = max(1, FILTER_CELLS >> cands.shape[1])
     for i in range(0, cands.shape[0], step):
-        (subset_sums(cands[i:i + step]) <= bounds).all(axis=0, out=out[i:i + step])
+        (subset_sums(cands[i:i + step], reach) <= bounds).all(axis=0, out=out[i:i + step])
     return out
 
 
@@ -87,7 +122,7 @@ def _cone_table(n: int, bound: int) -> tuple[np.ndarray, np.ndarray | None]:
     box = zero_sum_box(n, bound)
     if (1 << n) * box.shape[0] > FILTER_CELLS:
         return box, None
-    signs = subset_sums(box) <= 0
+    signs = subset_sums(box, n * bound) <= 0
     signs.setflags(write=False)
     return box, signs
 
@@ -104,7 +139,7 @@ def cone_window(n: int, bound: int, masks) -> np.ndarray:
         # no subset sum of the box exceeds n * bound, so only masks bind
         bounds = np.full(1 << n, n * bound, dtype=np.int64)
         bounds[list(masks)] = 0
-        keep = lattice_filter(box, bounds)
+        keep = lattice_filter(box, bounds, n * bound)
     else:
         keep = signs.take(masks, axis=0).all(axis=0)
     return box.compress(keep, axis=0)
@@ -125,29 +160,44 @@ def ranged_sum_box(lo, hi, total: int) -> np.ndarray:
     """All integer vectors with lo <= x <= hi coordinatewise and sum == total,
     lexicographically ordered, as an (N, n) int64 array.
 
-    Raises ValueError before allocating when the candidate grid (the product
-    of the first n - 1 side lengths) has more than ROW_BUDGET rows."""
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
-    n = lo.shape[0]
+    The candidate grid of the first n - 1 coordinates, and the last
+    coordinate total minus their sum, are formed in the exact_type of
+    |total| + (n - 1) * max(|lo_i|, |hi_i|), which bounds every partial sum.
+    Raises ValueError before allocating when the grid (the product of the
+    first n - 1 side lengths) has more than ROW_BUDGET rows."""
+    lo = [int(v) for v in lo]
+    hi = [int(v) for v in hi]
+    n = len(lo)
     if n == 0:
-        return np.zeros((1, 0), dtype=np.int64) if total == 0 else np.zeros((0, 0), dtype=np.int64)
-    if np.any(lo > hi):
+        return np.zeros((1 if total == 0 else 0, 0), dtype=np.int64)
+    if any(a > b for a, b in zip(lo, hi)):
         return np.zeros((0, n), dtype=np.int64)
     if n == 1:
         if lo[0] <= total <= hi[0]:
             return np.array([[total]], dtype=np.int64)
         return np.zeros((0, 1), dtype=np.int64)
-    grid_rows = math.prod(int(hi[j]) - int(lo[j]) + 1 for j in range(n - 1))
+    sides = [b - a + 1 for a, b in zip(lo[:-1], hi[:-1])]
+    grid_rows = math.prod(sides)
     if grid_rows > ROW_BUDGET:
         raise ValueError(
             f"window has {grid_rows} candidate rows, above the budget of {ROW_BUDGET}"
         )
-    sides = [np.arange(lo[j], hi[j] + 1, dtype=np.int64) for j in range(n - 1)]
-    # one grid copy: the stack of broadcast views, then only the kept rows
-    first = np.stack(np.meshgrid(*sides, indexing="ij", copy=False), axis=-1)
+    t = exact_type(abs(total) + (n - 1) * max(map(abs, lo + hi)))
+    # the grid of the first n - 1 coordinates in C order, which is
+    # lexicographic, and the last coordinate, total minus their sum: one
+    # broadcast write and one subtraction per side
+    first = np.empty(sides + [n - 1], dtype=t)
+    last = np.full(sides, total, dtype=t)
+    for j, a in enumerate(lo[:-1]):
+        side = np.arange(a, a + sides[j], dtype=t).reshape(
+            [-1 if k == j else 1 for k in range(n - 1)]
+        )
+        first[..., j] = side
+        last -= side
     first = first.reshape(grid_rows, n - 1)
-    last = total - first.sum(axis=1)
-    keep = (last >= lo[n - 1]) & (last <= hi[n - 1])
-    first = first.compress(keep, axis=0)
-    return np.concatenate([first, last.compress(keep)[:, None]], axis=1)
+    last = last.reshape(grid_rows)
+    keep = (last >= lo[-1]) & (last <= hi[-1])
+    out = np.empty((int(np.count_nonzero(keep)), n), dtype=np.int64)
+    out[:, :-1] = first.compress(keep, axis=0)
+    out[:, -1] = last.compress(keep)
+    return out

@@ -26,7 +26,6 @@ from .setcomp import (
     _comps,
     _unchecked,
     concatenate,
-    ground_cache,
     refines,
     restrict,
     sorted_labels,
@@ -42,7 +41,6 @@ def _check_labels(ground: GroundSet) -> None:
         raise ValueError(f"open sets capped at {_COMP_CAP} labels")
 
 
-@ground_cache
 def _down_set(H: Composition) -> frozenset:
     """All compositions obtainable from H by merging contiguous lumps."""
     return frozenset(K for K in _comps(H.ground) if refines(K, H))
@@ -130,7 +128,6 @@ def _ambient_orbits(ground: GroundSet, pred) -> frozenset:
     )
 
 
-@ground_cache
 def open_of_preposet(p: AugPreposet) -> ToricOpen:
     """The open indexed by a preposet: all orbits whose total relation
     contains the relation of p. The bottom indexes the empty open."""
@@ -202,15 +199,23 @@ def check_indexing(ground: GroundSet) -> IndexingReport:
     """
     if len(ground) > _SIZE_CAP:
         raise ValueError(f"ground set exceeds the size cap {_SIZE_CAP}")
+    # the opens of this call's preposets, built once each and freed with it
+    opens: dict = {}
+
+    def open_of(p: AugPreposet) -> ToricOpen:
+        if p not in opens:
+            opens[p] = open_of_preposet(p)
+        return opens[p]
+
     checked_mul = 0
     checked_comul = 0
     for F in _comps(ground):
         grounds = [GroundSet.of(lump) for lump in F.lumps]
         factor_preposets = [_aug_preposet_list(g) for g in grounds]
         for ptup in itertools.product(*factor_preposets):
-            lhs = pullback_delta(F, open_product([open_of_preposet(p) for p in ptup]))
+            lhs = pullback_delta(F, open_product([open_of(p) for p in ptup]))
             joined = reduce(o_mul, ptup) if ptup else Preposet.antichain(ground)
-            rhs = open_of_preposet(joined)
+            rhs = open_of(joined)
             checked_mul += 1
             if lhs != rhs:
                 return IndexingReport(
@@ -220,11 +225,11 @@ def check_indexing(ground: GroundSet) -> IndexingReport:
                     f"multiplication identity fails at F={F!r}, parts={ptup!r}",
                 )
         for p in _aug_preposet_list(ground):
-            lhs = pullback_mu(F, open_of_preposet(p))
+            lhs = pullback_mu(F, open_of(p))
             if comp_below_preposet(F, p):
                 rhs = open_product(
                     [
-                        open_of_preposet(restrict_preposet(p, g.labels))
+                        open_of(restrict_preposet(p, g.labels))
                         for g in grounds
                     ]
                 )

@@ -27,6 +27,11 @@ from .setcomp import (
 )
 
 
+# Most bits, numerator and denominator together, that evaluate lets a value
+# take, as bounded from the exponents before any power
+_EVAL_BITS = 1 << 20
+
+
 @dataclass(frozen=True)
 class PermPoint:
     """A torus-orbit point: orbit composition plus normalized scalars."""
@@ -127,11 +132,22 @@ def evaluate(x: PermPoint, H: Composition, h: CoweightVector) -> Fraction:
     for lump in x.orbit.lumps:
         if pairing(h, lump) != 0:
             return Fraction(0)
+    exps = tuple(int(e) for e in h.coords)
+    if exps != h.coords:
+        raise ValueError("exponents must be integers")
+    # c ** e has at most |e| * (bits of p + bits of q) bits for c = p/q, so
+    # this bounds the size of the value before any power is taken
+    bits = sum(
+        abs(e) * (c.numerator.bit_length() + c.denominator.bit_length())
+        for c, e in zip(x.coords, exps)
+    )
+    if bits > _EVAL_BITS:
+        raise ValueError(
+            f"evaluation needs up to {bits} bits, above the budget of {_EVAL_BITS}"
+        )
     val = Fraction(1)
-    for c, e in zip(x.coords, h.coords):
-        if e != int(e):
-            raise ValueError("exponents must be integers")
-        val *= c ** int(e)
+    for c, e in zip(x.coords, exps):
+        val *= c ** e
     return val
 
 

@@ -101,23 +101,28 @@ class SectionBasis:
         rows = pts.rows
         if (rows.sum(axis=1) != hei(z)).any():
             raise ValueError("point has the wrong coordinate sum")
-        b = np.array(z.values[1:-1], dtype=np.int64)
-        A = _indicator_columns(len(z.ground))
+        # the guard's own range proof, from the rows and not from the window
+        # the filter was given, so that this check stays independent of the
+        # filter it guards: no subset sum of a row exceeds n * coord_max
+        n = len(z.ground)
+        reach = n * max(int(rows.max()), -int(rows.min())) if rows.size else 0
+        t = _kernels.exact_type(reach)
+        b = _kernels.clipped_bounds(z.values[1:-1], reach)
+        A = _indicator_columns(n, t)
         # at most FILTER_CELLS product cells at a time, by its own product and
-        # not the kernels' subset sums, so that this check stays independent
-        # of the filter it guards
+        # not the kernels' subset sums
         step = max(1, _kernels.FILTER_CELLS // max(len(b), 1))
         for i in range(0, len(rows), step):
-            if (rows[i:i + step] @ A > b).any():
+            if (rows[i:i + step].astype(t) @ A > b).any():
                 raise ValueError("point violates a subset inequality")
 
 
 @lru_cache(maxsize=16)
-def _indicator_columns(n: int) -> np.ndarray:
-    """The (n, 2^n - 2) int64 indicator matrix of the nonempty proper subsets
-    of n labels, column m - 1 for bitmask m, read-only."""
+def _indicator_columns(n: int, t: type) -> np.ndarray:
+    """The (n, 2^n - 2) indicator matrix of type t of the nonempty proper
+    subsets of n labels, column m - 1 for bitmask m, read-only."""
     masks = np.arange(1, (1 << n) - 1, dtype=np.int64)
-    A = (masks >> np.arange(n, dtype=np.int64)[:, None]) & 1
+    A = ((masks >> np.arange(n, dtype=np.int64)[:, None]) & 1).astype(t)
     A.setflags(write=False)
     return A
 
@@ -132,10 +137,8 @@ def global_sections(z: BooleanFunction) -> SectionBasis:
     hi = [z.values[1 << i] for i in range(n)]
     coord_max = max(map(abs, lo + hi), default=0)
     _kernels.check_int64_window(n, coord_max, z.values)
-    cands = _kernels.ranged_sum_box(
-        np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64), hei(z)
-    )
-    keep = _kernels.lattice_filter(cands, np.array(z.values, dtype=np.int64))
+    cands = _kernels.ranged_sum_box(lo, hi, hei(z))
+    keep = _kernels.lattice_filter(cands, z.values, n * coord_max)
     return SectionBasis(z, PointSet(ground, cands.compress(keep, axis=0), AffinePoint))
 
 

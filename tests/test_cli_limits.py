@@ -58,6 +58,20 @@ def test_overflow_error_exits_two(monkeypatch, capsys):
     assert "infinity" in err
 
 
+@pytest.mark.parametrize("e", [3_000_000, 30_000_000, 10**9])
+def test_point_eval_past_the_bit_budget_exits_two(monkeypatch, capsys, e):
+    # ±3,000,000 used to compute for a second, then fail to print; ±30,000,000
+    # ran for longer than 20 s
+    payload = {
+        "x": {"orbit": [[1, 2]], "coords": {"1": "1", "2": "3/2"}},
+        "H": [[1, 2]],
+        "h": {"coords": {"1": -e, "2": e}},
+    }
+    code, out, err = run_cli(monkeypatch, capsys, ["point", "eval"], payload)
+    assert_one_line_error(code, out, err)
+    assert err == f"error: evaluation needs up to {6 * e} bits, above the budget of 1048576\n"
+
+
 def test_memory_error_exits_two(monkeypatch, capsys):
     def exhausted(args):
         raise MemoryError("Unable to allocate 671. GiB for an array\nwith shape (1,)")
@@ -494,3 +508,22 @@ def test_payload_at_a_cap_answers_unchanged(monkeypatch, capsys, argv, payload, 
     code, out, err = run_cli(monkeypatch, capsys, argv, payload)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_opens_of_distinct_preposets_are_not_kept(monkeypatch, capsys):
+    """An in-process caller keeps no open it asked for: once the first 6-label
+    request has filled the composition caches, further distinct one-pair
+    preposets leave the memory retained flat (each cached open held about
+    0.25 MiB here, and 3.3 MB at 7 labels, for the life of the process)."""
+    retained = []
+    tracemalloc.start()
+    try:
+        for pair in ([1, 2], [1, 3], [2, 4], [3, 6], [5, 4]):
+            payload = {"p": {"ground": _labels(6), "rel": [pair]}}
+            code, out, err = run_cli(monkeypatch, capsys, ["opens", "of-preposet"], payload)
+            assert (code, err) == (0, "")
+            out = None
+            retained.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert max(retained[1:]) - retained[1] < 64 << 10

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutokit import plates
+from permutokit import points as points_mod
 from permutokit.boolfun import BooleanFunction
 from permutokit.cones import (
     AffinePoint,
@@ -195,6 +196,18 @@ class TestEvaluate:
         y = ppt([[1, 2, 3]], {1: 4, 2: 6, 3: 8})
         assert x == y
         assert evaluate(x, H, h) == Fraction(4, 12)
+
+    def test_exponents_past_the_bit_budget_are_refused(self):
+        # c = 3/2 costs 4 bits per unit of exponent and c = 1 costs 2, so the
+        # exponent pair (-e, e) needs 6e bits: 174762 is the last e within 2^20
+        x = ppt([[1, 2]], {1: 1, 2: Fraction(3, 2)})
+        H = Composition.one_lump(x.ground)
+        assert points_mod._EVAL_BITS == 1 << 20
+        e = (1 << 20) // 6
+        assert evaluate(x, H, CoweightVector(x.ground, (-e, e))) == Fraction(3, 2) ** e
+        for e in (e + 1, 3_000_000, 30_000_000, 10**9):
+            with pytest.raises(ValueError, match=f"needs up to {6 * e} bits"):
+                evaluate(x, H, CoweightVector(x.ground, (-e, e)))
 
 
 class TestRelabel:

@@ -1,6 +1,8 @@
 """Array-backed lattice-point windows: the PointSet carrier, differential
 checks of cone, plate and section windows against pure-Python box scans,
-validation of section bases, the int64 range proof, and edge ground sets."""
+also at reaches on each side of the limits where the kernels change integer
+type, validation of section bases, the int64 range proof, and edge ground
+sets."""
 from fractions import Fraction
 from itertools import product
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from narrow_types import THRESHOLDS, holds, one_size_too_narrow
 from permutokit import _kernels, plates
 from permutokit.boolfun import BooleanFunction, bf_comul_along, hei, z_of_point
 from permutokit.cones import Box, CoweightVector, PointSet, cone_lattice_points
@@ -266,7 +269,7 @@ class TestDifferential:
 
     def test_basis_validation_catches_a_filter_that_keeps_everything(self, monkeypatch):
         monkeypatch.setattr(
-            _kernels, "lattice_filter", lambda cands, bounds: np.ones(len(cands), dtype=bool)
+            _kernels, "lattice_filter", lambda cands, bounds, reach: np.ones(len(cands), dtype=bool)
         )
         with pytest.raises(ValueError, match="subset inequality"):
             global_sections(perm_bf(4))
@@ -284,6 +287,19 @@ class TestDifferential:
         bad = rows[-1] + np.array([1, 0, 0, -1])
         with pytest.raises(ValueError, match="subset inequality"):
             SectionBasis(z, PointSet(z.ground, np.vstack([rows, bad]), AffinePoint))
+
+
+# n = 2 window bounds, reaches 2 * bound of 126, 128, 256, 32766 and 65536:
+# past 127 and 32767 a coordinate of +-bound itself leaves the type one size
+# narrower than exact_type(2 * bound)
+NARROW_BOUNDS = (63, 64, 128, 16383, 32768)
+
+# far outside every window: compared only after clipping
+FAR = 1 << 61
+
+# a plate far from the origin, so that the window's int64 rows are its
+# centre plus the cone window's narrow sums
+FAR_PLATE = BooleanFunction(GROUNDS[2], (0, 3 << 40, -(1 << 40) + 5, (1 << 41) + 1))
 
 
 def integer_tables(n):
@@ -337,6 +353,16 @@ class TestConeWindowKernel:
             for H in all_compositions(GROUNDS[n]):
                 for bound in range(4):
                     assert_plate_is_translated_cone(H, z, bound)
+
+    def test_windows_on_each_side_of_the_type_limits(self, path, monkeypatch):
+        if path == "filter":
+            # below every table's cell count here, 64 box rows a chunk
+            monkeypatch.setattr(_kernels, "FILTER_CELLS", 4 * 64)
+        for bound in NARROW_BOUNDS:
+            for p in enumerate_preposets(GROUNDS[2]):
+                assert rows_of(cone_lattice_points(p, Box(bound))) == brute_cone(p, bound)
+            for H in all_compositions(GROUNDS[2]):
+                assert_plate_is_translated_cone(H, FAR_PLATE, bound)
 
     def test_table_is_cached_and_read_only(self):
         box, table = _kernels._cone_table(3, 2)
@@ -514,3 +540,111 @@ class TestEdgeGrounds:
         assert sections_mul(e, e).points == (AffinePoint(GROUNDS[0], ()),)
         infeasible = global_sections(BooleanFunction(GROUNDS[2], (0, 0, 0, 1)))
         assert sections_mul(e, infeasible).points == ()
+
+
+# ---------------------------------------------------------------------------
+# section windows at reaches on each side of the type limits
+
+SECTION_BLOCKS = {3: [(0b011, 2), (0b110, 1)], 4: [(0b0011, 2), (0b1100, 1), (0b0101, 1)]}
+
+
+def shifted_table(n, signs, S):
+    """The coverage function of SECTION_BLOCKS[n] plus the modular function
+    of S times signs: its points lie near S * signs, in a small window."""
+    return [
+        sum(w for blk, w in SECTION_BLOCKS[n] if m & blk) + S * _pair(signs, m)
+        for m in range(1 << n)
+    ]
+
+
+def section_reach(table, n):
+    """n * coord_max of the section window, the bound its range proof gives."""
+    full = (1 << n) - 1
+    lo = [table[full] - table[full ^ (1 << i)] for i in range(n)]
+    hi = [table[1 << i] for i in range(n)]
+    return n * max(map(abs, lo + hi))
+
+
+def section_tables(T):
+    """(n, table) pairs whose window's reach is the largest at most T, then
+    the smallest above it, for shifts of every sign, all negative and mixed;
+    on 4 labels also with z of a pair far above every sum (it never binds)
+    and far below (no point meets it)."""
+    for n in SECTION_BLOCKS:
+        for signs in ((1,) * n, (-1,) * n, (1, -1) * (n // 2) + (1,) * (n % 2)):
+            S = T // n - 4
+            assert section_reach(shifted_table(n, signs, S), n) <= T
+            while section_reach(shifted_table(n, signs, S + 1), n) <= T:
+                S += 1
+            for table in (shifted_table(n, signs, S), shifted_table(n, signs, S + 1)):
+                yield n, table
+                if n == 4:
+                    yield n, [FAR if m == 0b0011 else v for m, v in enumerate(table)]
+                    yield n, [-FAR if m == 0b1100 else v for m, v in enumerate(table)]
+
+
+def sections_agree(n, table):
+    z = BooleanFunction(GROUNDS[n], tuple(table))
+    return rows_of(global_sections(z).points) == brute_sections(table, n)
+
+
+def guard_agrees(n, table):
+    """SectionBasis accepts the oracle's points of table, and rejects them
+    with one more point moved past z of the first label."""
+    z = BooleanFunction(GROUNDS[n], tuple(table))
+    rows = np.array(brute_sections(table, n), dtype=np.int64)
+    SectionBasis(z, PointSet(z.ground, rows, AffinePoint))
+    k = table[1] - int(rows[0, 0]) + 1
+    bad = rows[0] + np.array([k] + [0] * (n - 2) + [-k])
+    try:
+        SectionBasis(z, PointSet(z.ground, np.vstack([rows, bad]), AffinePoint))
+    except ValueError as exc:
+        return "subset inequality" in str(exc)
+    return False
+
+
+def guard_table(T):
+    """A 3-label table whose points' pair sums and pair bounds lie on both
+    sides of T, where a type one size narrower than the guard's wraps."""
+    return shifted_table(3, (1, 1, 1), (T + 1) // 2 - 1)
+
+
+class TestNarrowSectionWindows:
+    @pytest.mark.parametrize("T", THRESHOLDS)
+    def test_sections_on_each_side_of_a_type_limit(self, T):
+        for n, table in section_tables(T):
+            assert sections_agree(n, table)
+
+    @pytest.mark.parametrize("T", THRESHOLDS)
+    def test_the_guard_on_each_side_of_a_type_limit(self, T):
+        for n, table in section_tables(T):
+            if min(table[1:]) > -FAR:
+                assert guard_agrees(n, table)
+        assert guard_agrees(3, guard_table(T))
+
+    @pytest.mark.parametrize("T", THRESHOLDS)
+    def test_the_oracles_catch_a_type_one_size_too_narrow(self, T, monkeypatch):
+        # every point sums to more than T, not only the reach
+        table = shifted_table(3, (1, 1, 1), T // 3 + 1)
+        assert table[-1] > T
+        _kernels.zero_sum_box.cache_clear()
+        _kernels._cone_table.cache_clear()
+        monkeypatch.setattr(_kernels, "exact_type", one_size_too_narrow(_kernels.exact_type))
+        try:
+            assert not holds(lambda: sections_agree(3, table))
+            assert not holds(lambda: guard_agrees(3, guard_table(T)))
+            if T < 2**31 - 1:
+                # n = 2 windows with a coordinate of +-(T + 1)
+                bound = T + 1
+                assert not all(
+                    holds(lambda: rows_of(cone_lattice_points(p, Box(bound))) == brute_cone(p, bound))
+                    for p in enumerate_preposets(GROUNDS[2])
+                )
+                assert not all(
+                    holds(lambda: assert_plate_is_translated_cone(H, FAR_PLATE, bound) is None)
+                    for H in all_compositions(GROUNDS[2])
+                )
+        finally:
+            monkeypatch.undo()
+            _kernels.zero_sum_box.cache_clear()
+            _kernels._cone_table.cache_clear()
