@@ -26,12 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-INT64_SAFE = 1 << 62
+from .setcomp import _charge
 
-# Largest candidate grid ranged_sum_box will allocate, in rows; building the
-# grid takes about n + 1 values of its exact_type per row, plus an int64 copy
-# of the kept rows.
-ROW_BUDGET = 1 << 24
+INT64_SAFE = 1 << 62
 
 # Most cells (subsets times rows) of a subset-sum table formed at once,
 # 32 MiB in int64 and 4 MiB in int8; larger row blocks go through
@@ -163,8 +160,9 @@ def ranged_sum_box(lo, hi, total: int) -> np.ndarray:
     The candidate grid of the first n - 1 coordinates, and the last
     coordinate total minus their sum, are formed in the exact_type of
     |total| + (n - 1) * max(|lo_i|, |hi_i|), which bounds every partial sum.
-    Raises ValueError before allocating when the grid (the product of the
-    first n - 1 side lengths) has more than ROW_BUDGET rows."""
+    The grid (the product of the first n - 1 side lengths) is charged first,
+    2^max(n, 8) array cells a row: the 2^n subset sums its callers read, and
+    the row itself, in its exact_type and in int64."""
     lo = [int(v) for v in lo]
     hi = [int(v) for v in hi]
     n = len(lo)
@@ -178,10 +176,7 @@ def ranged_sum_box(lo, hi, total: int) -> np.ndarray:
         return np.zeros((0, 1), dtype=np.int64)
     sides = [b - a + 1 for a, b in zip(lo[:-1], hi[:-1])]
     grid_rows = math.prod(sides)
-    if grid_rows > ROW_BUDGET:
-        raise ValueError(
-            f"window has {grid_rows} candidate rows, above the budget of {ROW_BUDGET}"
-        )
+    _charge(grid_rows << max(n, 8) >> 9, "a window of {} candidate rows on {} labels", grid_rows, n)
     t = exact_type(abs(total) + (n - 1) * max(map(abs, lo + hi)))
     # the grid of the first n - 1 coordinates in C order, which is
     # lexicographic, and the last coordinate, total minus their sum: one

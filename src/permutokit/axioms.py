@@ -11,6 +11,7 @@ two-composition form, and lump-permutation naturality.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +21,7 @@ from typing import Callable, Optional
 from .boolfun import BooleanFunction, bf_comul, bf_mul, relabel_bf
 from .points import PermPoint, _normalized, point_comul, point_mul, point_relabel
 from .preposet import (
+    _PREPOSET_COUNTS,
     Bottom,
     _aug_preposet_list,
     is_bottom,
@@ -28,11 +30,14 @@ from .preposet import (
     relabel_preposet,
 )
 from .setcomp import (
+    _FUBINI,
     Bijection,
     Composition,
     GroundSet,
     Perm,
     _bijection,
+    _charge,
+    _composition_cost,
     _comps,
     _unchecked,
     coarsening_runs,
@@ -63,10 +68,11 @@ class BimonoidInstance:
     draw(ground, rng) returns one element over the ground set.
     population(ground), where set, returns the cached tuple of every element
     over the ground set: exhaustive mode iterates it and draw picks from it.
-    It is None for the instances that can only be sampled. mul takes two
-    elements over disjoint grounds; comul takes an element and an ordered
-    decomposition of its ground set; relabel takes a bijection whose target
-    is the element's ground set. Every element carries its ground set as
+    It is None for the instances that can only be sampled; size(n), set with
+    it, is its length on n labels, by formula. mul takes two elements over
+    disjoint grounds; comul takes an element and an ordered decomposition of
+    its ground set; relabel takes a bijection whose target is the element's
+    ground set. Every element carries its ground set as
     `.ground`. zero_of builds the absorbing element, and is set exactly for
     the pointed instances.
     """
@@ -77,6 +83,7 @@ class BimonoidInstance:
     comul: Callable
     relabel: Callable
     population: Optional[Callable] = None
+    size: Optional[Callable] = None
     zero_of: Optional[Callable] = None
     is_zero: Optional[Callable] = None
 
@@ -327,6 +334,22 @@ def _describe(names: str, case: tuple) -> str:
     return " ".join(f"{k}={v!r}" for k, v in zip(names.split(), case))
 
 
+def _case_counts(inst: BimonoidInstance, n: int, budget: int, full: bool) -> list[int]:
+    """The most cases check_all runs for each law, in order, on n labels;
+    exhaustive counts are sums over block sizes of inst.size(k)."""
+    counts = [budget] * (11 if inst.zero_of is not None else 10)
+    if full:
+        p, f = [inst.size(k) for k in range(n + 1)], math.factorial
+        pairs = sum(math.comb(n, k) * p[k] * p[n - k] for k in range(n + 1))
+        triples = sum(f(n) // (f(a) * f(b) * f(n - a - b)) * p[a] * p[b] * p[n - a - b]
+                      for a in range(n + 1) for b in range(n + 1 - a))
+        # mul- and comul-naturality, associativity, coassociativity, square
+        # (two blocks of a pair split again), general-square
+        counts[:6] = [pairs * f(n), p[n] * f(n) << n, triples, p[n] * 3**n, pairs << n,
+                      _FUBINI[n] ** 2]
+    return counts
+
+
 def check_all(
     inst: BimonoidInstance,
     ground: GroundSet,
@@ -345,8 +368,19 @@ def check_all(
     depend on earlier draws (general-square draws its element tuples even
     in full mode), so the order of rows and of draws within a case is part
     of the reported result."""
-    rng = random.Random(seed)
+    n = len(ground)
     full = exhaustive and inst.population is not None
+    # Charge the compositions every instance draws, then the cases (n + 4
+    # steps, four times that when drawn, as measured), before listing any;
+    # build the lists before the first law, which would report a refusal.
+    _charge(_composition_cost(n), "listing the compositions of {} labels", n)
+    counts = _case_counts(inst, n, budget, full)
+    cases, drawn = sum(counts), sum(counts[6:] if full else counts)
+    _charge((cases + 3 * drawn) * (n + 4), "checking {} law cases on {} labels", cases, n)
+    _comps(ground)
+    if inst.population is not None:
+        inst.population(ground)
+    rng = random.Random(seed)
 
     def elems_on(*blocks):
         return inst.population(GroundSet.of(x for b in blocks for x in b))
@@ -462,6 +496,7 @@ def sigma_instance() -> BimonoidInstance:
         name="sigma",
         draw=lambda g, rng: _pick(_comps(g), rng),
         population=_comps,
+        size=_FUBINI.__getitem__,
         mul=concatenate,
         comul=lambda F, S, T: (restrict(F, S), restrict(F, T)),
         relabel=relabel,
@@ -473,6 +508,7 @@ def o_bullet_instance() -> BimonoidInstance:
         name="o-bullet",
         draw=lambda g, rng: _pick(_aug_preposet_list(g), rng),
         population=_aug_preposet_list,
+        size=lambda n: 1 + _PREPOSET_COUNTS[n],
         mul=o_mul,
         comul=o_comul,
         relabel=relabel_preposet,

@@ -3,7 +3,8 @@ empty set, with their product, two-sided coproduct, and the modular-shift
 equivalence.
 
 Values are stored densely, indexed by bitmask over the canonical label order.
-Ground sets are capped at 12 labels.
+A table built from fewer values than it holds, and the pairs of subsets the
+polymatroid test compares, are charged to the work budget first.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from .setcomp import (
     Bijection,
     Composition,
     GroundSet,
-    _check_size,
+    _charge,
     _mask_sum,
     _split_masks,
     _unchecked,
@@ -30,7 +31,6 @@ class BooleanFunction:
 
     def __post_init__(self):
         n = len(self.ground)
-        _check_size(n)
         if len(self.values) != 1 << n:
             raise ValueError("dense value table has the wrong size")
         if self.values[0] != 0:
@@ -38,12 +38,13 @@ class BooleanFunction:
 
     @staticmethod
     def from_callable(ground: GroundSet, fn: Callable[[frozenset], int]) -> "BooleanFunction":
+        _charge(1 << len(ground), "a table of 2^{} values", len(ground))
         vals = (int(fn(frozenset(ground.subset(m)))) for m in range(1 << len(ground)))
         return BooleanFunction(ground, tuple(vals))
 
     @staticmethod
     def zero(ground: GroundSet) -> "BooleanFunction":
-        _check_size(len(ground))
+        _charge(1 << len(ground), "a table of 2^{} values", len(ground))
         return _unchecked(BooleanFunction, ground=ground, values=(0,) * (1 << len(ground)))
 
     def value(self, A: Iterable) -> int:
@@ -58,7 +59,7 @@ def hei(z: BooleanFunction) -> int:
 def bf_mul(z1: BooleanFunction, z2: BooleanFunction) -> BooleanFunction:
     """(z1|z2)(A) = z1(A ∩ S) + z2(A ∩ T) over the disjoint union."""
     ground = z1.ground.union(z2.ground)  # raises on overlap
-    _check_size(len(ground))
+    _charge(1 << len(ground), "a table of 2^{} values", len(ground))
     table1 = scatter_table(ground.positions(z1.ground.labels))
     table2 = scatter_table(ground.positions(z2.ground.labels))
     vals = [0] * (1 << len(ground))
@@ -114,6 +115,7 @@ def z_of_point(ground: GroundSet, h) -> BooleanFunction:
         vec = list(h)
         if len(vec) != len(ground):
             raise ValueError("vector length does not match the ground set")
+    _charge(len(ground) + 1 << len(ground), "a table of 2^{} sums", len(ground))
     vals = (_mask_sum(vec, m) for m in range(1 << len(ground)))
     return BooleanFunction(ground, tuple(vals))
 
@@ -138,6 +140,7 @@ def bf_equivalent(z1: BooleanFunction, z2: BooleanFunction) -> Optional[dict]:
 def is_generalized_permutohedron(z: BooleanFunction) -> bool:
     """Submodularity: z(A) + z(B) >= z(A ∪ B) + z(A ∩ B) for all A, B."""
     n = len(z.ground)
+    _charge((1 << 2 * n) // 2, "comparing the 4^{}/2 pairs of subsets", n)
     vals = z.values
     for a in range(1 << n):
         for b in range(a + 1, 1 << n):

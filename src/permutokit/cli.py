@@ -7,15 +7,16 @@ of COMMANDS, which builds both the argument parser and the dispatch.
 
 Exit codes: 0 success (boolean query results are still success), 1 a law
 violation or counterexample was found, 2 malformed input or usage error,
-including numbers too large for exact evaluation and windows too large to
-allocate, 141 (128 + SIGPIPE) stdout was closed before the result was
-written.
+including numbers too large for exact evaluation or for printing and work
+whose estimate is over the work budget (setcomp._charge), 141 (128 +
+SIGPIPE) stdout was closed before the result was written.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -34,7 +35,6 @@ from .plates import (
 )
 from .points import evaluate, point_comul, point_mul, point_relabel
 from .preposet import (
-    _ENUM_CAP,
     composition_of_total,
     enumerate_aug_preposets,
     enumerate_preposets,
@@ -47,10 +47,9 @@ from .preposet import (
 )
 from .sections import global_sections, sections_comul, sections_mul
 from .setcomp import (
-    _COMP_CAP,
-    GroundSet,
     all_compositions,
     concatenate,
+    ground_of_size,
     hat_beta,
     permute_lumps,
     refines,
@@ -100,24 +99,32 @@ def _count(value: int, flag: str) -> int:
     return value
 
 
-def _ground_of_size(n: int) -> GroundSet:
-    """The ground set 1..n of `--size n`."""
-    return GroundSet.of(range(1, _count(n, "--size") + 1))
-
-
 def _values(args, keys: tuple) -> list:
     """The stdin payload's values at `keys`, decoded in order once the
     payload is known to hold every key and, besides "schema", no other.
     `--size n` stands in for a 'ground' array, and stdin is read only when
     some key has to come from it."""
     if "ground" in keys and args.size is not None:
-        return [_ground_of_size(args.size)]
+        return [ground_of_size(_count(args.size, "--size"))]
     payload = _read_payload() if keys else {}  # `check` reads no stdin
     if "ground" in keys and "ground" not in payload:
         raise ValueError("pass --size n or a 'ground' array on stdin")
     named = [k if isinstance(k, tuple) else (k, _DECODE[k]) for k in keys]
     jsonio._fields(payload, "stdin payload", [k for k, _ in named], ("schema",))
     return [decode(payload[k]) for k, decode in named]
+
+
+def _decimal(q) -> str:
+    """A Fraction as text, refused with its size when a part has more digits
+    than the interpreter prints (sys.get_int_max_str_digits, 4300 by default)."""
+    try:
+        return str(q)
+    except ValueError:
+        k = max(abs(q.numerator), q.denominator)
+        low = int(math.log10(k))  # a float, off by at most one from the digits less one
+        digits = next(d for d in (low, low + 1, low + 2) if k < 10**d)
+        limit = f"above the output limit of {sys.get_int_max_str_digits()}"
+        raise ValueError(f"the value has {digits} digits, {limit}") from None
 
 
 def _not_bottom(p):
@@ -148,8 +155,6 @@ def _parts(encode, parts) -> dict:
 
 
 def _compositions(args, ground) -> dict:
-    if len(ground) > _COMP_CAP:
-        raise ValueError(f"enumeration capped at {_COMP_CAP} labels")
     return {"compositions": [jsonio.encode_composition(F) for F in all_compositions(ground)]}
 
 
@@ -174,13 +179,7 @@ def _pullback(args, F, U) -> dict:
 
 
 def _check(args) -> dict:
-    # The harness samples compositions from the full list of the ground's
-    # (axioms._random_composition) and o-bullet enumerates its preposets,
-    # so a size past these caps would run for minutes before any law failed.
-    cap = _ENUM_CAP if args.instance == "o-bullet" else _COMP_CAP
-    if args.size > cap:
-        raise ValueError(f"check {args.instance} is capped at --size {cap}, got {args.size}")
-    ground = _ground_of_size(args.size)
+    ground = ground_of_size(_count(args.size, "--size"))
     budget = _count(args.budget, "--budget")
     inst = INSTANCES[args.instance]()
     reports = check_all(inst, ground, seed=args.seed, budget=budget, exhaustive=args.exhaustive)
@@ -260,7 +259,7 @@ COMMANDS = {
         ("x", "S", "T"), lambda a, x, S, T: _parts(jsonio.encode_point, point_comul(x, S, T))
     ),
     ("point", "eval"): Command(
-        ("x", "H", _COWEIGHT), lambda a, x, H, h: {"value": str(evaluate(x, H, h))}
+        ("x", "H", _COWEIGHT), lambda a, x, H, h: {"value": _decimal(evaluate(x, H, h))}
     ),
     ("point", "relabel"): Command(("sigma", "x"), lambda a, s, x: _point(point_relabel(s, x))),
     ("opens", "of-preposet"): Command(

@@ -5,11 +5,13 @@ multiplication and comultiplication and the preposet indexing check.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .preposet import (
+    _PREPOSET_COUNTS,
     AugPreposet,
     Preposet,
     _aug_preposet_list,
@@ -20,9 +22,11 @@ from .preposet import (
     total_of_composition,
 )
 from .setcomp import (
-    _COMP_CAP,
+    _FUBINI,
     Composition,
     GroundSet,
+    _charge,
+    _composition_cost,
     _comps,
     _unchecked,
     concatenate,
@@ -31,14 +35,10 @@ from .setcomp import (
     sorted_labels,
 )
 
-_SIZE_CAP = 4
 
-
-def _check_labels(ground: GroundSet) -> None:
-    """An open lists orbits of compositions of its labels: refuse one past
-    the composition cap before any composition list is built."""
-    if len(ground) > _COMP_CAP:
-        raise ValueError(f"open sets capped at {_COMP_CAP} labels")
+def _charge_orbits(sizes) -> None:
+    """Charge the orbit tuples on blocks of these sizes, one item each."""
+    _charge(_composition_cost(*sizes), "visiting the orbit tuples on {} labels", sum(sizes))
 
 
 def _down_set(H: Composition) -> frozenset:
@@ -73,7 +73,6 @@ class ToricOpen:
         down-closed. Every tuple's length, then every tuple's grounds, are
         checked before any cover, so a family with several faults names the
         same one whatever order the frozenset iterates in."""
-        _check_labels(self.shape.ground)
         k = self.shape.length()
         if any(len(tup) != k for tup in self.orbits):
             raise ValueError("orbit tuple length does not match the shape")
@@ -91,6 +90,7 @@ class ToricOpen:
     @staticmethod
     def closed(shape: Composition, seeds: Iterable[tuple]) -> "ToricOpen":
         """Build from generating orbit tuples, closing downward eagerly."""
+        _charge_orbits([len(l) for l in shape.lumps])
         out = set()
         for tup in seeds:
             for closed_tup in itertools.product(*[_down_set(H) for H in tup]):
@@ -103,6 +103,7 @@ class ToricOpen:
 
     @staticmethod
     def whole(shape: Composition) -> "ToricOpen":
+        _charge_orbits([len(l) for l in shape.lumps])
         tups = itertools.product(
             *[_comps(GroundSet.of(l)) for l in shape.lumps]
         )
@@ -123,6 +124,7 @@ def _ambient_key(H: Composition) -> tuple:
 
 
 def _ambient_orbits(ground: GroundSet, pred) -> frozenset:
+    _charge_orbits([len(ground)])
     return frozenset(
         _ambient_key(H) for H in _comps(ground) if pred(H)
     )
@@ -131,7 +133,6 @@ def _ambient_orbits(ground: GroundSet, pred) -> frozenset:
 def open_of_preposet(p: AugPreposet) -> ToricOpen:
     """The open indexed by a preposet: all orbits whose total relation
     contains the relation of p. The bottom indexes the empty open."""
-    _check_labels(p.ground)
     shape = Composition.one_lump(p.ground)
     orbits = frozenset() if is_bottom(p) else _ambient_orbits(
         p.ground, lambda H: preposet_leq(total_of_composition(H), p)
@@ -157,6 +158,7 @@ def pullback_mu(F: Composition, U: ToricOpen) -> ToricOpen:
     orbit tuples whose concatenation lies in U."""
     if U.shape != Composition.one_lump(F.ground):
         raise ValueError("open must have the one-lump ambient shape")
+    _charge_orbits([len(lump) for lump in F.lumps])
     factor_comps = [_comps(GroundSet.of(lump)) for lump in F.lumps]
     orbits = frozenset(
         tup
@@ -174,7 +176,8 @@ def open_product(opens: Sequence[ToricOpen]) -> ToricOpen:
             raise ValueError("factors must have one-lump shapes")
         lumps.append(U.shape.lumps[0])
     shape = Composition.of(lumps)  # raises on overlapping factors
-    _check_labels(shape.ground)
+    tuples = math.prod(len(U.orbits) for U in opens)
+    _charge(tuples * (len(shape.ground) + 1), "a product of {} orbit tuples", tuples)
     orbits = frozenset(
         tuple(t[0] for t in tup)
         for tup in itertools.product(*[U.orbits for U in opens])
@@ -197,8 +200,17 @@ def check_indexing(ground: GroundSet) -> IndexingReport:
     multiplication pullback of a preposet open is the product of restriction
     opens when F sits below p and empty otherwise.
     """
-    if len(ground) > _SIZE_CAP:
-        raise ValueError(f"ground set exceeds the size cap {_SIZE_CAP}")
+    # A step per identity and composition of the ground. Per composition F, a
+    # comultiplication identity per augmented preposet on the ground and a
+    # multiplication one per tuple of them on F's lumps (summed by the first
+    # lump's size); the orbit charge refuses every n past the counts.
+    n = len(ground)
+    _charge_orbits([n])
+    aug, mul = [1 + c for c in _PREPOSET_COUNTS], [1]
+    for m in range(1, n + 1):
+        mul.append(sum(math.comb(m, k) * aug[k] * mul[m - k] for k in range(1, m + 1)))
+    ids = mul[n] + _FUBINI[n] * aug[n]
+    _charge(ids * _FUBINI[n], "checking {} indexing identities on {} labels", ids, n)
     # the opens of this call's preposets, built once each and freed with it
     opens: dict = {}
 

@@ -19,7 +19,7 @@ from .setcomp import (
     Bijection,
     Composition,
     GroundSet,
-    _check_size,
+    _charge,
     _restriction_mask,
     _split_masks,
     _unchecked,
@@ -201,12 +201,13 @@ def composition_of_total(p: Preposet) -> Composition:
     return _unchecked(Composition, ground=p.ground, lumps=lumps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # a perfbench pass touches at most 541 preposets
 def upward_masks(p: Preposet) -> tuple[int, ...]:
     """The bitmasks S, increasing, of the proper nonempty subsets with
     (S, complement) <= p: those no label outside S is related into."""
     rows = p.rows
-    _check_size(len(rows))
+    # n-bit reach rows over 2^n subsets, and as many upward splits to list
+    _charge(len(rows) + 1 << len(rows), "the subset table of {} labels", len(rows))
     full = (1 << len(rows)) - 1
     # reach[C]: the labels some label of C is related to, peeling C's lowest bit
     reach = [0] * (full + 1)
@@ -234,14 +235,16 @@ def relabel_preposet(sigma: Bijection, p: AugPreposet) -> AugPreposet:
     return _induced(p, sigma.source, sigma.positions)
 
 
-_ENUM_CAP = 5
+# The number of preposets on n labels, n <= 7 (OEIS A000798)
+_PREPOSET_COUNTS = (1, 1, 4, 29, 355, 6942, 209527, 9535241)
 
 
 @ground_cache
 def _preposet_list(ground: GroundSet) -> tuple[Preposet, ...]:
     n = len(ground)
-    if n > _ENUM_CAP:
-        raise ValueError(f"enumeration capped at {_ENUM_CAP} labels")
+    # a step per scanned relation, the estimate held at 2^1024 past 32 labels
+    scanned = 1 << min(n * (n - 1), 1024)
+    _charge(scanned, "scanning the 2^{} relations on {} labels", n * (n - 1), n)
     # candidate relations over the off-diagonal cells, in increasing mask order
     cells = [(i, j) for i in range(n) for j in range(n) if i != j]
     out = []

@@ -27,7 +27,7 @@ from .cones import (
 )
 from .plates import restrict_point
 from .preposet import AugPreposet, o_mul
-from .setcomp import _split_blocks, sorted_labels
+from .setcomp import _charge, _split_blocks, sorted_labels
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,12 @@ def global_sections(z: BooleanFunction) -> SectionBasis:
 
 def sections_mul(s1: SectionBasis, s2: SectionBasis) -> SectionBasis:
     """Basis of the product: all juxtapositions, carried by bf_mul, in
-    lexicographic order."""
+    lexicographic order; the rows are charged first, as a window's are."""
+    r1, r2 = s1.points.rows, s2.points.rows
+    n = r1.shape[1] + r2.shape[1]
+    _charge(len(r1) * len(r2) << max(n, 8) >> 9, "a product of {} by {} sections", len(r1), len(r2))
     z = bf_mul(s1.z, s2.z)
     ground = z.ground
-    r1, r2 = s1.points.rows, s2.points.rows
     rows = np.empty((len(r1) * len(r2), len(ground)), dtype=np.int64)
     rows[:, ground.positions(s1.z.ground.labels)] = np.repeat(r1, len(r2), axis=0)
     rows[:, ground.positions(s2.z.ground.labels)] = np.tile(r2, (len(r1), 1))

@@ -8,6 +8,7 @@ actions: relabeling along a bijection of ground sets and permuting lumps.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Any, Iterable, Iterator, Optional
@@ -53,14 +54,29 @@ def scatter_bits(m: int, pos) -> int:
     return sum(1 << p for k, p in enumerate(pos) if m >> k & 1)
 
 
-# Tables over every subset of a ground set hold 2^n entries, as a subset
-# function's values and a preposet's upward reach do: 12 labels give 4096.
-_SUBSET_CAP = 12
+# The work one call may start, in Python-level steps (an item over n labels,
+# such as a composition, is n + 1 steps); an array cell is 2^-9 of a step.
+_BUDGET = 1 << 22
 
 
-def _check_size(n: int) -> None:
-    if n > _SUBSET_CAP:
-        raise ValueError(f"ground sets capped at {_SUBSET_CAP} labels")
+def _charge(cost: int, what: str, *args) -> None:
+    """ValueError naming the work (what.format(*args)), its cost and the
+    budget when an exact estimate of work not yet started is over it."""
+    if cost > _BUDGET:
+        what = what.format(*args)
+        raise ValueError(f"{what} needs {cost} units of work, above the budget of {_BUDGET}")
+
+
+# Fubini(n), the compositions of n labels (OEIS A000670), by the first lump
+_FUBINI = [1]
+for _m in range(1, 21):
+    _FUBINI.append(sum(math.comb(_m, k) * _FUBINI[_m - k] for k in range(1, _m + 1)))
+
+
+def _composition_cost(*sizes: int) -> int:
+    """Listing every tuple of compositions of blocks of these sizes, one item
+    each (a lower bound past 20 labels in a block)."""
+    return math.prod(_FUBINI[min(k, 20)] for k in sizes) * (sum(sizes) + 1)
 
 
 def scatter_table(pos) -> list[int]:
@@ -190,14 +206,20 @@ def _interned(labels: tuple, types: tuple) -> GroundSet:
 EMPTY_GROUND = GroundSet.of(())
 
 
+def ground_of_size(n: int) -> GroundSet:
+    """The ground set 1..n, charged as an item before it is built."""
+    _charge(n + 1, "a ground set of {} labels", n)
+    return GroundSet.of(range(1, n + 1))
+
+
 def ground_cache(fn):
     """Cache fn, a function of one ground set or of one object with a
-    ground, without bound. The key is the argument and the types of its
-    ground's labels: labels of different types can compare equal
-    ((True,) == (1,)), and the cached result carries the ground it was
-    built on."""
+    ground, for its 256 most recent arguments (a perfbench pass touches at
+    most 149). The key is the argument and the types of its ground's labels:
+    labels of different types can compare equal ((True,) == (1,)), and the
+    cached result carries the ground it was built on."""
 
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=256)
     def cached(x, types):
         return fn(x)
 
@@ -481,7 +503,9 @@ def hat_beta(beta: Perm, F: Composition, G: Composition) -> Perm:
 
 
 def all_compositions(ground: GroundSet) -> Iterator[Composition]:
-    """Every composition of the ground set, deterministic order."""
+    """Every composition of the ground set, deterministic order; their list
+    is charged before the first is built."""
+    _charge(_composition_cost(len(ground)), "listing the compositions of {} labels", len(ground))
     labels = list(ground.labels)
 
     def rec(xs: list) -> Iterator[tuple[tuple, ...]]:
@@ -498,13 +522,7 @@ def all_compositions(ground: GroundSet) -> Iterator[Composition]:
                 yield sub[:k] + ((first,) + sub[k],) + sub[k + 1:]
 
     # each composition arises from exactly one (sub, position) choice
-    for lumps in rec(labels):
-        yield _unchecked(Composition, ground=ground, lumps=lumps)
-
-
-# Composition lists are built whole, and a label multiplies their length by
-# about 13: 7 labels give 47293 compositions, 9 labels 7087261.
-_COMP_CAP = 7
+    return (_unchecked(Composition, ground=ground, lumps=lumps) for lumps in rec(labels))
 
 
 @ground_cache

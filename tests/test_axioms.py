@@ -367,3 +367,41 @@ class TestInstanceRegistry:
         prod = inst.mul(a, b)
         assert prod == point_mul(a, b)
         assert inst.comul(prod, (1,), (2, 3)) == point_comul(prod, (1,), (2, 3))
+
+
+class TestCaseCounts:
+    """check_all's estimate of the cases it checks, law by law, which it
+    charges to the work budget before listing anything, against the cases
+    it then checks: exhaustive sigma on up to 4 labels and o-bullet on up
+    to 3 run here; o-bullet on 4 is criterion 01's frozen counts."""
+
+    @pytest.mark.parametrize("name, n", [
+        *(("sigma", n) for n in range(5)),
+        *(("o-bullet", n) for n in range(4)),
+    ])
+    def test_exhaustive_estimate_is_the_checked_count(self, name, n):
+        inst = INSTANCES[name]()
+        reports = check_all(inst, GroundSet.of(range(1, n + 1)), exhaustive=True, budget=3)
+        assert [r.checked for r in reports] == axioms._case_counts(inst, n, 3, True)
+
+    def test_o_bullet_on_four_labels_is_criterion_01s_count(self):
+        from test_acceptance import FROZEN_N4
+
+        counts = axioms._case_counts(o_bullet_instance(), 4, 200, True)
+        assert counts[:6] == list(FROZEN_N4.values())
+        assert sum(counts[:6]) == 262_097
+
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_sampled_estimate_is_the_checked_count(self, name):
+        inst = INSTANCES[name]()
+        reports = check_all(inst, G3, seed=4, budget=7)
+        assert [r.checked for r in reports] == axioms._case_counts(inst, 3, 7, False)
+
+    def test_exhaustive_cases_past_the_budget_are_refused_before_any_list(self, monkeypatch):
+        def no_list(ground):
+            raise AssertionError("a population was listed")
+
+        inst = dataclasses.replace(sigma_instance(), population=no_list)
+        monkeypatch.setattr(axioms, "_comps", no_list)
+        with pytest.raises(ValueError, match="checking 2907211 law cases on 5 labels"):
+            check_all(inst, GroundSet.of(range(1, 6)), exhaustive=True)

@@ -60,8 +60,10 @@ class TestBooleanFunction:
             bf([1, 2], [0, 1, 1])
 
     def test_size_cap(self):
-        with pytest.raises(ValueError):
-            BooleanFunction.zero(GroundSet.of(range(13)))
+        # 2^13 values are well inside the work budget; 2^23 are over it
+        assert BooleanFunction.zero(GroundSet.of(range(13))).values == (0,) * 8192
+        with pytest.raises(ValueError, match="a table of 2\\^23 values needs"):
+            BooleanFunction.zero(GroundSet.of(range(23)))
 
     def test_value_lookup(self):
         z = bf([1, 2], [0, 1, 1, 2])

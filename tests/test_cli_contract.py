@@ -8,6 +8,9 @@ identity) comes only from `check` and `opens check-indexing`; and a request
 with an unknown key exits 2."""
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
 
 from hypothesis import HealthCheck, given, settings
@@ -136,3 +139,92 @@ def test_mutated_requests_keep_the_exit_code_contract(request):
         assert words in MAY_FAIL_A_LAW, (argv, text, out)
     if added:
         assert code == 2, (argv, text, added, out)
+
+
+# ---------------------------------------------------------------------------
+# The work budget's contract: whatever its size, a request is answered or
+# refused, in a child process whose CPU time and address space are limited.
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+CPU_SECONDS = 60
+ADDRESS_SPACE = 3 << 30
+
+
+def _limits():
+    resource.setrlimit(resource.RLIMIT_CPU, (CPU_SECONDS, CPU_SECONDS))
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def _labels(n, start=1):
+    return list(range(start, start + n))
+
+
+def _subset_function(labels, scale, cap):
+    """z(A) = scale * min(|A|, cap): submodular, with sections for cap >= 1."""
+    return {
+        "ground": labels,
+        "values": {
+            ",".join(str(x) for k, x in enumerate(labels) if m >> k & 1):
+                scale * min(bin(m).count("1"), cap)
+            for m in range(1 << len(labels))
+        },
+    }
+
+
+def _preposet(labels, chain):
+    rel = [[a, b] for i, a in enumerate(labels) for b in labels[i + 1:]] if chain else []
+    return {"ground": labels, "rel": rel}
+
+
+@st.composite
+def sized_requests(draw):
+    """(argv, stdin text) of one request on 0 to 14 labels, its bound or
+    budget up to 10^6, spread over the orders of magnitude."""
+    n = draw(st.integers(0, 14))
+    bound = draw(st.integers(0, 6).flatmap(lambda e: st.integers(0, 10**e)))
+    labels = _labels(n)
+    p = _preposet(labels, draw(st.booleans()))
+    z = _subset_function(labels, draw(st.integers(1, 3)), draw(st.integers(1, max(n, 1))))
+    kind = draw(st.sampled_from([
+        "comp enumerate", "preposet enumerate", "preposet upward", "cone points",
+        "cone contains", "opens of-preposet", "opens check-indexing", "sections count",
+        "sections mul", "bf is-gp", "plate points", "check",
+    ]))
+    size = ["--size", str(n)]
+    if kind in ("comp enumerate", "preposet enumerate", "opens check-indexing"):
+        return [*kind.split(), *size], ""
+    if kind == "check":
+        instance = draw(st.sampled_from(["sigma", "o-bullet", "bf", "points"]))
+        exhaustive = ["--exhaustive"] if draw(st.booleans()) else []
+        return ["check", instance, *size, "--budget", str(bound), *exhaustive], ""
+    payload = {
+        "preposet upward": {"p": p},
+        "cone points": {"p": p},
+        "cone contains": {"p": p, "h": {"coords": {str(x): 0 for x in labels}}},
+        "opens of-preposet": {"p": p},
+        "sections count": {"z": z},
+        "sections mul": {
+            "z1": _subset_function(labels[: n // 2], 1, n),
+            "z2": _subset_function(labels[n // 2:], 2, n),
+        },
+        "bf is-gp": {"z": z},
+        "plate points": {"H": [labels] if labels else [], "z": z},
+    }[kind]
+    flags = ["--bound", str(bound)] if kind in ("cone points", "plate points") else []
+    return [*kind.split(), *flags], json.dumps(payload)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(sized_requests())
+def test_sized_requests_are_answered_or_refused_within_the_limits(request):
+    argv, text = request
+    proc = subprocess.run(
+        [sys.executable, "-m", "permutokit.cli", *argv], input=text,
+        capture_output=True, text=True, preexec_fn=_limits, timeout=2 * CPU_SECONDS,
+        env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode in (0, 2), (argv, proc.returncode, proc.stderr[-300:])
+    if proc.returncode == 2:
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1, (argv, proc.stderr[-300:])
+        assert proc.stderr.startswith("error: "), (argv, proc.stderr[-300:])

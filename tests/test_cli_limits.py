@@ -3,13 +3,21 @@ failed allocations exit 2 with a one-line message, never a traceback (exit 1
 is reserved for law counterexamples)."""
 import hashlib
 import io
+import itertools
 import json
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import pytest
 
 import permutokit.cli as cli_mod
+from permutokit import axioms
 from permutokit.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(monkeypatch, capsys, argv, payload):
@@ -94,7 +102,7 @@ def test_bare_memory_error_names_itself(monkeypatch, capsys):
     assert err == "error: MemoryError\n"
 
 
-# Windows whose candidate grid exceeds the row budget are refused before any
+# Windows whose candidate grid is over the work budget are refused before any
 # array is allocated: 13^7 grid rows for the cone, (10^5 + 1)^3 for the sections.
 OVERSIZED = {
     "cone-points-n8-bound6": (
@@ -120,7 +128,8 @@ def test_oversized_window_exits_two_before_allocating(monkeypatch, capsys, argv,
     finally:
         tracemalloc.stop()
     assert_one_line_error(*result)
-    assert "candidate rows, above the budget" in result[2]
+    assert "candidate rows on" in result[2]
+    assert "units of work, above the budget of 4194304" in result[2]
     assert peak < 32 << 20
 
 
@@ -376,12 +385,16 @@ def test_negative_bound_keeps_its_message(monkeypatch, capsys):
 def test_composition_enumeration_is_capped(monkeypatch, capsys, argv, payload):
     code, out, err = run_cli(monkeypatch, capsys, argv, payload)
     assert_one_line_error(code, out, err)
-    assert err == "error: enumeration capped at 7 labels\n"
+    assert err == (
+        "error: listing the compositions of 8 labels needs 4912515 units of work,"
+        " above the budget of 4194304\n"
+    )
 
 
 # `check` sizes past what the harness can sample or enumerate are refused
 # before any law runs: compositions are drawn from the full list of the
 # ground's (7087261 at 9 labels), and o-bullet enumerates its preposets.
+# The refusal is check_all's own, so the guard sits where every law runs.
 CHECK_CAPS = {"sigma": 7, "bf": 7, "points": 7, "o-bullet": 5}
 
 
@@ -392,11 +405,12 @@ def test_check_size_past_its_cap_exits_two_before_any_law(monkeypatch, capsys, i
     def no_laws(*args, **kwargs):
         raise AssertionError("a law ran")
 
-    monkeypatch.setattr(cli_mod, "check_all", no_laws)
+    monkeypatch.setattr(axioms, "_report", no_laws)
     argv = ["check", instance, "--size", str(size), "--budget", "1"]
     code, out, err = run_cli(monkeypatch, capsys, argv, {})
     assert_one_line_error(code, out, err)
-    assert f"capped at --size {CHECK_CAPS[instance]}" in err
+    listed = "scanning the 2^30 relations on" if instance == "o-bullet" else "listing the compositions of"
+    assert f"{listed} {size} labels needs" in err
 
 
 @pytest.mark.parametrize("instance", sorted(CHECK_CAPS))
@@ -422,35 +436,27 @@ def _labels(n, start=1):
 
 
 # Opens list orbits of the compositions of their labels (47293 at 7 labels,
-# 7087261 at 9), and upward masks read a table over every subset of the
-# ground: a payload past either cap is refused with one line. A subset
+# 7087261 at 9): a payload whose orbit tuples are over the work budget is
+# refused with one line before any composition list is built. A subset
 # function with too few values is refused by counting them, not by looking
 # each of the 2^40 subsets up.
+OVER_BUDGET = "units of work, above the budget of 4194304"
 OVER_CAP = {
     "of-preposet-8-labels": (
         ["opens", "of-preposet"], {"p": {"ground": _labels(8)}},
-        "open sets capped at 7 labels",
+        f"visiting the orbit tuples on 8 labels needs 4912515 {OVER_BUDGET}",
     ),
     "pullback-delta-empty-9-label-open": (
         ["opens", "pullback", "--via", "delta"],
         {"F": [_labels(9)], "U": {"shape": [_labels(9)], "orbits": []}},
-        "open sets capped at 7 labels",
+        f"visiting the orbit tuples on 9 labels needs 70872610 {OVER_BUDGET}",
     ),
-    # each lump is under the cap, but the product of their composition lists
+    # each lump is a 7-label list, but the product of their composition lists
     # has 47293^2 tuples
     "pullback-mu-two-7-label-lumps": (
         ["opens", "pullback", "--via", "mu"],
         {"F": [_labels(7), _labels(7, 8)], "U": {"shape": [_labels(14)], "orbits": []}},
-        "open sets capped at 7 labels",
-    ),
-    "preposet-upward-13-labels": (
-        ["preposet", "upward"], {"p": {"ground": _labels(13)}},
-        "ground sets capped at 12 labels",
-    ),
-    "cone-contains-13-labels": (
-        ["cone", "contains"],
-        {"p": {"ground": _labels(13)}, "h": {"coords": {str(x): 0 for x in _labels(13)}}},
-        "ground sets capped at 12 labels",
+        f"visiting the orbit tuples on 14 labels needs 33549417735 {OVER_BUDGET}",
     ),
     "bf-is-gp-40-labels-one-value": (
         ["bf", "is-gp"], {"z": {"ground": _labels(40), "values": {"": 0}}},
@@ -527,3 +533,233 @@ def test_opens_of_distinct_preposets_are_not_kept(monkeypatch, capsys):
     finally:
         tracemalloc.stop()
     assert max(retained[1:]) - retained[1] < 64 << 10
+
+
+# Inputs refused by a size cap before the work budget, and now answered: a
+# 13-label antichain's upward splits and cone membership read 2^13 subsets.
+# Each answer is checked against a brute-force scan of every subset.
+def _antichain_splits(n):
+    """Every proper nonempty S of 1..n with its complement, in mask order:
+    the upward splits of the antichain, which relates no label to another."""
+    labels = _labels(n)
+    return [
+        [[x for k, x in enumerate(labels) if m >> k & 1], [x for k, x in enumerate(labels) if not m >> k & 1]]
+        for m in range(1, (1 << n) - 1)
+    ]
+
+
+def _in_antichain_cone(coords):
+    """Whether every proper nonempty subset sum of coords is at most zero."""
+    n = len(coords)
+    return all(
+        sum(c for k, c in enumerate(coords) if m >> k & 1) <= 0 for m in range(1, (1 << n) - 1)
+    )
+
+
+def test_preposet_upward_on_13_labels_answers(monkeypatch, capsys):
+    payload = {"p": {"ground": _labels(13)}}
+    code, out, err = run_cli(monkeypatch, capsys, ["preposet", "upward", "--format", "json"], payload)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pairs"] == _antichain_splits(13)
+
+
+@pytest.mark.parametrize(
+    "coords", [[0] * 13, [1, -1] + [0] * 11, [-1] * 12 + [12]], ids=["zero", "one-pair", "spread"]
+)
+def test_cone_contains_on_13_labels_answers(monkeypatch, capsys, coords):
+    payload = {
+        "p": {"ground": _labels(13)},
+        "h": {"coords": {str(x): c for x, c in zip(_labels(13), coords)}},
+    }
+    code, out, err = run_cli(monkeypatch, capsys, ["cone", "contains"], payload)
+    assert (code, err) == (0, "")
+    assert out == ("true\n" if _in_antichain_cone(coords) else "false\n")
+
+
+def _section_z(n, cap, start=1):
+    """z(A) = 3 * min(|A|, cap) on the labels start..start+n-1, as JSON."""
+    labels = _labels(n, start)
+    values = {
+        ",".join(str(x) for k, x in enumerate(labels) if m >> k & 1): 3 * min(bin(m).count("1"), cap)
+        for m in range(1 << n)
+    }
+    return {"ground": labels, "values": values}
+
+
+def _permutohedron(n, start=1):
+    """z(A) = n + (n - 1) + ... over |A| terms: the permutohedron on n labels."""
+    labels = _labels(n, start)
+    values = {
+        ",".join(str(x) for k, x in enumerate(labels) if m >> k & 1): sum(range(n, n - bin(m).count("1"), -1))
+        for m in range(1 << n)
+    }
+    return {"ground": labels, "values": values}
+
+
+def _fail(what):
+    def guard(*args, **kwargs):
+        raise AssertionError(f"{what} was started")
+
+    return guard
+
+
+# Four payloads that ran until `timeout` ended them before the work budget,
+# each with a guard on the work it must not start, and its estimate.
+UNBOUNDED = {
+    # 4^11 grid rows, each filtered over 2^12 subsets
+    "sections-count-12-labels": (
+        ["sections", "count"], {"z": _section_z(12, 6)},
+        ("permutokit._kernels.exact_type", "a grid"),
+        "a window of 4194304 candidate rows on 12 labels needs 33554432",
+    ),
+    # 2932^2 product rows, each guarded over 2^12 subsets
+    "sections-mul-two-6-label-permutohedra": (
+        ["sections", "mul"], {"z1": _permutohedron(6), "z2": _permutohedron(6, 7)},
+        ("permutokit.sections.bf_mul", "a product"),
+        "a product of 2932 by 2932 sections needs 68772992",
+    ),
+    # 2906411 exhaustive cases and 800 sampled ones, about 37 us each
+    "check-sigma-5-exhaustive": (
+        ["check", "sigma", "--size", "5", "--exhaustive"], {},
+        ("permutokit.axioms._report", "a law"),
+        "checking 2907211 law cases on 5 labels needs 26186499",
+    ),
+    # ten laws of 10^9 sampled cases each
+    "check-sigma-3-budget-1e9": (
+        ["check", "sigma", "--size", "3", "--budget", "1000000000"], {},
+        ("permutokit.axioms._report", "a law"),
+        "checking 10000000000 law cases on 3 labels needs 280000000000",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, payload, guard, message", UNBOUNDED.values(), ids=UNBOUNDED.keys())
+def test_unbounded_payload_exits_two_within_a_second(monkeypatch, capsys, argv, payload, guard, message):
+    monkeypatch.setattr(guard[0], _fail(guard[1]))
+    monkeypatch.setattr("permutokit.axioms._comps", _fail("a composition list"))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(monkeypatch, capsys, argv, payload)
+    elapsed = time.perf_counter() - t0
+    assert_one_line_error(code, out, err)
+    assert err == f"error: {message} {OVER_BUDGET}\n"
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv, payload, guard, message", UNBOUNDED.values(), ids=UNBOUNDED.keys())
+def test_unbounded_payload_exits_two_through_the_module(argv, payload, guard, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "permutokit.cli", *argv],
+        input=json.dumps(payload) if payload else "",
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message} {OVER_BUDGET}\n")
+
+
+# A value whose numerator or denominator has more digits than the
+# interpreter prints is refused with its size; (3/2)^9012 has a 4300-digit
+# numerator, the most that prints.
+def _eval_payload(e):
+    return {
+        "x": {"orbit": [[1, 2]], "coords": {"1": "1", "2": "3/2"}},
+        "H": [[1, 2]],
+        "h": {"coords": {"1": -e, "2": e}},
+    }
+
+
+@pytest.mark.parametrize("e, digits", [(20_000, 9543), (100_000, 47713)])
+def test_point_eval_past_the_output_limit_exits_two(monkeypatch, capsys, e, digits):
+    code, out, err = run_cli(monkeypatch, capsys, ["point", "eval"], _eval_payload(e))
+    assert_one_line_error(code, out, err)
+    assert err == f"error: the value has {digits} digits, above the output limit of 4300\n"
+
+
+def test_point_eval_at_the_output_limit_prints(monkeypatch, capsys):
+    code, out, err = run_cli(monkeypatch, capsys, ["point", "eval"], _eval_payload(9012))
+    assert (code, err) == (0, "")
+    num, den = out.strip().split("/")
+    assert (len(num), int(num), int(den)) == (4300, 3**9012, 2**9012)
+
+
+def test_upward_masks_of_distinct_preposets_are_bounded(capsys):
+    """`cone contains` keeps the upward masks of at most 1024 preposets: past
+    that, further distinct 7-label preposets leave the memory retained flat.
+    Each is the total preposet of a distinct four-lump composition, so each
+    has 14 upward masks; unbounded, each one kept about 0.4 KiB for the
+    life of the process."""
+    from permutokit.setcomp import GroundSet, all_compositions
+
+    compositions = (F.lumps for F in all_compositions(GroundSet.of(_labels(7))) if len(F.lumps) == 4)
+    zero = {str(x): 0 for x in _labels(7)}
+    retained = []
+    # stdin is swapped by hand: monkeypatch keeps every value it replaced
+    stdin = sys.stdin
+    tracemalloc.start()
+    try:
+        for k, lumps in enumerate(itertools.islice(compositions, 1600), start=1):
+            rel = [[a, b] for i, L in enumerate(lumps) for M in lumps[i:] for a in L for b in M if a != b]
+            payload = {"p": {"ground": _labels(7), "rel": rel}, "h": {"coords": zero}}
+            sys.stdin = io.StringIO(json.dumps(payload))
+            code = main(["cone", "contains"])
+            assert (code, *capsys.readouterr()) == (0, "true\n", "")
+            if k in (1200, 1400, 1600):
+                retained.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+        sys.stdin = stdin
+    assert max(retained) - retained[0] < 64 << 10
+
+
+# Subset functions past 12 labels and opens past 7, refused by size caps
+# before the work budget, answer when their work is inside it. Each answer is
+# checked against a brute-force oracle over every subset or orbit pair.
+def _table(labels, fn):
+    """The subset function A -> fn(A) on labels, as JSON; fn(()) is 0."""
+    n = len(labels)
+    subsets = [tuple(x for k, x in enumerate(labels) if m >> k & 1) for m in range(1 << n)]
+    return {"ground": labels, "values": {",".join(map(str, A)): fn(A) for A in subsets}}
+
+
+def _square(A):
+    return len(A) ** 2
+
+
+def _mod7(A):
+    return sum(A) % 7
+
+
+def test_bf_mul_past_twelve_labels_answers(monkeypatch, capsys):
+    payload = {"z1": _table(_labels(6), _square), "z2": _table(_labels(7, 7), _mod7)}
+    code, out, err = run_cli(monkeypatch, capsys, ["bf", "mul", "--format", "json"], payload)
+    assert (code, err) == (0, "")
+    got = json.loads(out)["bf"]
+    def z(A):  # z1(A ∩ S) + z2(A ∩ T)
+        return _square([x for x in A if x <= 6]) + _mod7([x for x in A if x > 6])
+
+    assert got == _table(_labels(13), z)
+
+
+def test_bf_comul_past_twelve_labels_answers(monkeypatch, capsys):
+    def z(A):
+        return _square(A) + _mod7(A)
+
+    S, T = _labels(6), _labels(7, 7)
+    payload = {"z": _table(_labels(13), z), "S": S, "T": T}
+    code, out, err = run_cli(monkeypatch, capsys, ["bf", "comul", "--format", "json"], payload)
+    assert (code, err) == (0, "")
+    # the S half is z restricted to S; the T half is A -> z(A + S) - z(S)
+    assert json.loads(out)["parts"] == [_table(S, z), _table(T, lambda A: z(tuple(S) + A) - z(S))]
+
+
+def test_opens_pullback_mu_past_seven_labels_answers(monkeypatch, capsys):
+    from permutokit.setcomp import GroundSet, all_compositions, concatenate
+
+    F = [_labels(4), _labels(4, 5)]
+    payload = {"F": F, "U": {"shape": [_labels(8)], "orbits": [[[_labels(8)]]]}}
+    argv = ["opens", "pullback", "--via", "mu", "--format", "json"]
+    code, out, err = run_cli(monkeypatch, capsys, argv, payload)
+    assert (code, err) == (0, "")
+    # the pairs of compositions of the two lumps whose concatenation is in U
+    pairs = itertools.product(*(all_compositions(GroundSet.of(lump)) for lump in F))
+    expected = [[H.lumps, K.lumps] for H, K in pairs if concatenate(H, K).lumps == (tuple(_labels(8)),)]
+    assert json.loads(out)["open"] == {"shape": F, "orbits": expected}

@@ -75,9 +75,9 @@ class TestRangedSumBox:
         assert (box >= lo).all() and (box <= hi).all()
 
     def test_grid_above_the_row_budget_is_refused(self):
-        # the first n - 1 sides span 4097 * 4096 = 2^24 + 4096 rows
-        assert _kernels.ROW_BUDGET == 1 << 24
-        with pytest.raises(ValueError, match="16781312 candidate rows"):
+        # the first n - 1 sides span 4097 * 4096 = 2^24 + 4096 rows, charged
+        # half a step each against the 2^22 of the work budget
+        with pytest.raises(ValueError, match="16781312 candidate rows .* 8390656 units"):
             _kernels.ranged_sum_box([0, 0, 0], [4096, 4095, 0], 0)
 
 

@@ -62,12 +62,15 @@ class TestToricOpen:
         with pytest.raises(ValueError):
             ToricOpen(shape, frozenset({(comp([3]),)}))
 
-    def test_product_past_the_label_cap_is_refused(self):
-        # each factor is within the 7-label cap, their product is not
-        U = ToricOpen.empty(Composition.one_lump(GroundSet.of(range(1, 5))))
-        V = ToricOpen.empty(Composition.one_lump(GroundSet.of(range(5, 9))))
-        with pytest.raises(ValueError, match="open sets capped at 7 labels"):
-            open_product([U, V])
+    def test_product_past_seven_labels_is_the_product_of_orbits(self):
+        # the product is charged by its orbit tuples, not by its 8 labels
+        g1, g2 = GroundSet.of(range(1, 5)), GroundSet.of(range(5, 9))
+        U, V = (ToricOpen.whole(Composition.one_lump(g)) for g in (g1, g2))
+        W = open_product([U, ToricOpen.empty(Composition.one_lump(g2))])
+        assert W.orbits == frozenset() and W.shape == Composition.of([g1.labels, g2.labels])
+        whole = open_product([U, V])
+        pairs = itertools.product(all_compositions(g1), all_compositions(g2))
+        assert whole.orbits == frozenset(pairs) and len(whole.orbits) == 75**2
 
 
 def down_set_closed(orbits) -> bool:
