@@ -38,7 +38,6 @@ from .cones import (
     PointSet,
     cone_contains,
     cone_face,
-    cone_generators,
     cone_lattice_points,
     cone_product_map,
     cone_restrict,
@@ -48,7 +47,6 @@ from .cones import (
 from .boolfun import (
     BooleanFunction,
     bf_comul,
-    bf_comul_along,
     bf_equivalent,
     bf_mul,
     hei,
@@ -61,8 +59,6 @@ from .plates import (
     FlatSpec,
     Plate,
     flat_contains,
-    flat_mul,
-    max_affine_flat,
     plate_F_face_contains,
     plate_contains,
     plate_lattice_points,

@@ -6,16 +6,18 @@ relabeling, and an element source. The harness lifts the binary operations to
 arbitrary refinement pairs by iterated merging/splitting, verifies that the
 lift does not depend on the merge order, and checks naturality,
 associativity, coassociativity, the mixed square law, its general
-two-composition form, and lump-permutation naturality.
+two-composition form, and lump-permutation naturality. Each law is one row
+of factors, which lists its cases, draws them and counts them.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Optional
 
 from .boolfun import BooleanFunction, bf_comul, bf_mul, relabel_bf
@@ -65,16 +67,14 @@ class LawReport:
 class BimonoidInstance:
     """A carrier of binary operations the harness can exercise.
 
-    draw(ground, rng) returns one element over the ground set.
-    population(ground), where set, returns the cached tuple of every element
-    over the ground set: exhaustive mode iterates it and draw picks from it.
-    It is None for the instances that can only be sampled; size(n), set with
-    it, is its length on n labels, by formula. mul takes two elements over
-    disjoint grounds; comul takes an element and an ordered decomposition of
-    its ground set; relabel takes a bijection whose target is the element's
-    ground set. Every element carries its ground set as
-    `.ground`. zero_of builds the absorbing element, and is set exactly for
-    the pointed instances.
+    draw(ground, rng) returns one element over the ground set. population
+    (ground), where set, is the cached tuple of every element over it, which
+    exhaustive mode lists and draw picks from; size(n), set with it, is its
+    length on n labels by formula. Instances without one are only sampled.
+    mul takes two elements over disjoint grounds; comul an element and an
+    ordered decomposition of its ground; relabel a bijection whose target is
+    the element's ground. Every element carries its ground as `.ground`.
+    zero_of builds the absorbing element, set exactly for pointed instances.
     """
 
     name: str
@@ -267,7 +267,14 @@ def merge_independence_holds(inst, F, G, elems, rng, lift) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# case sampling
+# case spaces: each law is one row of factors
+
+
+# One choice of a law case, given the values the factors before it chose:
+# listing(values) iterates every choice in order, draw(values) picks one, and
+# size(ks) is the listing's length from the block sizes of the row's
+# decomposition of `parts` blocks, or (n,) in a row without one.
+Factor = namedtuple("Factor", "listing draw size parts", defaults=(1,))
 
 
 def _random_blocks(ground: GroundSet, parts: int, rng) -> list[tuple]:
@@ -277,21 +284,33 @@ def _random_blocks(ground: GroundSet, parts: int, rng) -> list[tuple]:
     return [tuple(b) for b in blocks]
 
 
-def _random_composition(ground: GroundSet, rng) -> Composition:
-    return rng.choice(_comps(ground))
+def _decomposition(ground: GroundSet, k: int, rng) -> Factor:
+    """Ordered decompositions of the ground into k possibly-empty blocks."""
+    return Factor(lambda vs: two_block_decompositions(ground) if k == 2
+                  else ordered_decompositions(ground, k),
+                  lambda vs: _random_blocks(ground, k, rng),
+                  lambda ks: math.factorial(sum(ks)) // math.prod(map(math.factorial, ks)), k)
 
 
-def _random_coarsening(F: Composition, rng) -> Composition:
-    if F.length() <= 1:
-        return F
-    lumps = []
-    cur: list = []
-    for i, l in enumerate(F.lumps):
-        cur.extend(l)
-        if i == F.length() - 1 or rng.random() < 0.5:
-            lumps.append(sorted_labels(cur))
-            cur = []
-    return _unchecked(Composition, ground=F.ground, lumps=tuple(lumps))
+def _element(inst, ground: GroundSet, rng, *blocks: int) -> Factor:
+    """An element over these blocks of the decomposition chosen first, or
+    over the ground when no block is named."""
+    def labels(vs):
+        return tuple(x for i in blocks for x in vs[0][i]) if blocks else ground.labels
+
+    return Factor(lambda vs: inst.population(GroundSet.of(labels(vs))),
+                  lambda vs: inst.draw(GroundSet.of(labels(vs)), rng),
+                  lambda ks: inst.size(sum(ks[i] for i in blocks) if blocks else sum(ks)))
+
+
+def _drawn(draw: Callable) -> Factor:
+    """A choice drawn even where its row is listed: one case."""
+    return Factor(lambda vs: (draw(vs),), draw, lambda ks: 1)
+
+
+def _all_bijections(ground: GroundSet):
+    for positions in itertools.permutations(range(len(ground))):
+        yield _bijection(ground, ground, positions)
 
 
 def _random_bijection(ground: GroundSet, rng) -> Bijection:
@@ -300,17 +319,105 @@ def _random_bijection(ground: GroundSet, rng) -> Bijection:
     return _bijection(ground, ground, positions)
 
 
-def _all_bijections(ground: GroundSet):
-    for positions in itertools.permutations(range(len(ground))):
-        yield _bijection(ground, ground, positions)
+def _random_composition(ground: GroundSet, rng) -> Composition:
+    return rng.choice(_comps(ground))
 
 
-def _one(inst, labels, rng):
-    return inst.draw(GroundSet.of(labels), rng)
+def _random_coarsening(F: Composition, rng) -> Composition:
+    if F.length() <= 1:
+        return F
+    lumps, cur = [], []
+    for i, l in enumerate(F.lumps):
+        cur.extend(l)
+        if i == F.length() - 1 or rng.random() < 0.5:
+            lumps.append(sorted_labels(cur))
+            cur = []
+    return _unchecked(Composition, ground=F.ground, lumps=tuple(lumps))
+
+
+def _random_lump_perm(G: Composition, rng) -> Perm:
+    images = list(range(1, G.length() + 1))
+    rng.shuffle(images)
+    return _unchecked(Perm, images=tuple(images))
 
 
 def _tuple_over(inst, F: Composition, rng) -> tuple:
-    return tuple(_one(inst, lump, rng) for lump in F.lumps)
+    return tuple(inst.draw(GroundSet.of(lump), rng) for lump in F.lumps)
+
+
+# A law's row: make maps its factors' values to the arguments of holds, whose
+# leading fields `names` names in a counterexample; a row not listed is drawn.
+Law = namedtuple("Law", "name holds names make factors listed")
+
+
+def _laws(inst: BimonoidInstance, ground: GroundSet, rng, exhaustive: bool) -> list[Law]:
+    """Every law's row, in report order. The first six are listed in
+    exhaustive mode when the instance has a population; the rest are
+    always sampled."""
+    full = exhaustive and inst.population is not None
+    blocks, elem = partial(_decomposition, ground, rng=rng), partial(_element, inst, ground, rng)
+    sigmas = Factor(lambda vs: _all_bijections(ground), lambda vs: _random_bijection(ground, rng),
+                    lambda ks: math.factorial(sum(ks)))
+    comps = Factor(lambda vs: _comps(ground), lambda vs: _random_composition(ground, rng),
+                   lambda ks: _FUBINI[sum(ks)])
+    coarsening = _drawn(lambda vs: _random_coarsening(vs[0], rng))
+    lump_perm = _drawn(lambda vs: _random_lump_perm(vs[1], rng))
+    over_F, over_G = (_drawn(lambda vs, i=i: _tuple_over(inst, vs[i], rng)) for i in (0, 1))
+    rows = [
+        ("mul-naturality", mul_naturality_holds, "sigma a b", lambda d, a, b, sig: (sig, a, b),
+         (blocks(2), elem(0), elem(1), sigmas), full),
+        ("comul-naturality", comul_naturality_holds, "sigma x S", lambda x, d, sig: (sig, x, *d),
+         (elem(), blocks(2), sigmas), full),
+        ("associativity", associativity_holds, "a b c", lambda d, *abc: abc,
+         (blocks(3), elem(0), elem(1), elem(2)), full),
+        ("coassociativity", coassociativity_holds, "x A B", lambda x, d: (x, *d),
+         (elem(), blocks(3)), full),
+        ("square", square_holds, "a b S T U", lambda d, a, b: (a, b, *d),
+         (blocks(4), elem(0, 1), elem(2, 3)), full),
+        ("general-square", general_square_holds, "F G elems", lambda *vs: vs,
+         (comps, comps, over_F), full),
+        ("perm-naturality-mul", perm_naturality_mul_holds, "F G beta elems", lambda *vs: vs,
+         (comps, coarsening, lump_perm, over_F), False),
+        ("perm-naturality-comul", perm_naturality_comul_holds, "F G beta elems", lambda *vs: vs,
+         (comps, coarsening, lump_perm, over_G), False),
+        ("merge-independence-mul", partial(merge_independence_holds, lift=lift_mul), "F G elems",
+         lambda *vs: (*vs, rng), (comps, coarsening, over_F), False),
+        ("merge-independence-comul", partial(merge_independence_holds, lift=lift_comul), "F G elems",
+         lambda *vs: (*vs, rng), (comps, coarsening, over_G), False),
+    ]
+    if inst.zero_of is not None:
+        rows.append(("zero-absorption", zero_absorption_holds, "y S", lambda d, y: (y, d[0]),
+                     (blocks(2), elem(1)), False))
+    return [Law(*row) for row in rows]
+
+
+def _length(law: Law, n: int, budget: int) -> int:
+    """The cases a row yields on n labels: over the block sizes of its
+    decomposition, the sum of the products of its factors' sizes."""
+    if not law.listed:
+        return budget
+    k = max(f.parts for f in law.factors)
+    return sum(math.prod(f.size(ks) for f in law.factors)
+               for ks in itertools.product(range(n + 1), repeat=k) if sum(ks) == n)
+
+
+def _extend(walk, listing):
+    return (vs + (v,) for vs in walk for v in listing(vs))
+
+
+def _cases(law: Law, budget: int):
+    """A listed row's nested walk in factor order, or `budget` draws of each
+    factor in order, kept in one list."""
+    if law.listed:
+        walk = reduce(_extend, (f.listing for f in law.factors), [()])
+        yield from itertools.starmap(law.make, walk)
+        return
+    draws = [f.draw for f in law.factors]
+    for _ in range(budget):
+        values: list = []
+        for draw in draws:
+            values.append(draw(values))
+        yield law.make(*values)
 
 
 # ---------------------------------------------------------------------------
@@ -334,22 +441,6 @@ def _describe(names: str, case: tuple) -> str:
     return " ".join(f"{k}={v!r}" for k, v in zip(names.split(), case))
 
 
-def _case_counts(inst: BimonoidInstance, n: int, budget: int, full: bool) -> list[int]:
-    """The most cases check_all runs for each law, in order, on n labels;
-    exhaustive counts are sums over block sizes of inst.size(k)."""
-    counts = [budget] * (11 if inst.zero_of is not None else 10)
-    if full:
-        p, f = [inst.size(k) for k in range(n + 1)], math.factorial
-        pairs = sum(math.comb(n, k) * p[k] * p[n - k] for k in range(n + 1))
-        triples = sum(f(n) // (f(a) * f(b) * f(n - a - b)) * p[a] * p[b] * p[n - a - b]
-                      for a in range(n + 1) for b in range(n + 1 - a))
-        # mul- and comul-naturality, associativity, coassociativity, square
-        # (two blocks of a pair split again), general-square
-        counts[:6] = [pairs * f(n), p[n] * f(n) << n, triples, p[n] * 3**n, pairs << n,
-                      _FUBINI[n] ** 2]
-    return counts
-
-
 def check_all(
     inst: BimonoidInstance,
     ground: GroundSet,
@@ -357,126 +448,28 @@ def check_all(
     budget: int = 200,
     exhaustive: bool = False,
 ) -> list[LawReport]:
-    """Run every law; exhaustive mode iterates all decompositions and all
-    elements for instances with a population, otherwise cases are sampled.
-
-    Each law is one row: its name, its predicate, the names of the leading
-    case fields its counterexample shows, and a lazy source of argument
-    tuples. Exhaustive sources are built only in full mode, where
-    `elems_on` reads the whole population. Every draw comes from one
-    generator, law after law and case after case, and later laws' samples
-    depend on earlier draws (general-square draws its element tuples even
-    in full mode), so the order of rows and of draws within a case is part
-    of the reported result."""
+    """Run every law's row, listed in exhaustive mode where it can be and
+    sampled otherwise. Every draw comes from one generator, row after row and
+    case after case (general-square draws its element tuples even when
+    listed), so the order of rows, of factors and of draws is part of the
+    reported result."""
     n = len(ground)
-    full = exhaustive and inst.population is not None
+    rng = random.Random(seed)
+    laws = _laws(inst, ground, rng, exhaustive)
     # Charge the compositions every instance draws, then the cases (n + 4
     # steps, four times that when drawn, as measured), before listing any;
     # build the lists before the first law, which would report a refusal.
     _charge(_composition_cost(n), "listing the compositions of {} labels", n)
-    counts = _case_counts(inst, n, budget, full)
-    cases, drawn = sum(counts), sum(counts[6:] if full else counts)
+    lengths = [_length(law, n, budget) for law in laws]
+    cases, drawn = sum(lengths), sum(m for law, m in zip(laws, lengths) if not law.listed)
     _charge((cases + 3 * drawn) * (n + 4), "checking {} law cases on {} labels", cases, n)
     _comps(ground)
     if inst.population is not None:
         inst.population(ground)
-    rng = random.Random(seed)
-
-    def elems_on(*blocks):
-        return inst.population(GroundSet.of(x for b in blocks for x in b))
-
-    def one(*blocks):
-        return _one(inst, tuple(x for b in blocks for x in b), rng)
-
-    def blocks(k):
-        return _random_blocks(ground, k, rng)
-
-    def sampled(draw):
-        return (draw() for _ in range(budget))
-
-    def mul_nat():
-        S, T = blocks(2)
-        a, b = one(S), one(T)
-        return _random_bijection(ground, rng), a, b
-
-    def comul_nat():
-        x = one(ground.labels)
-        S, T = blocks(2)
-        return _random_bijection(ground, rng), x, S, T
-
-    def coassoc():
-        x = one(ground.labels)
-        return (x, *blocks(3))
-
-    def square():
-        S, T, U, V = blocks(4)
-        return one(S, T), one(U, V), S, T, U, V
-
-    def general_square(F, G):
-        return F, G, _tuple_over(inst, F, rng)
-
-    def coarsening():
-        F = _random_composition(ground, rng)
-        return F, _random_coarsening(F, rng)
-
-    def perm_nat(lift_over_G: bool):
-        def draw():
-            F, G = coarsening()
-            images = list(range(1, G.length() + 1))
-            rng.shuffle(images)
-            beta = _unchecked(Perm, images=tuple(images))
-            return F, G, beta, _tuple_over(inst, G if lift_over_G else F, rng)
-
-        return sampled(draw)
-
-    def merge(lift_over_G: bool):
-        def draw():
-            F, G = coarsening()
-            return F, G, _tuple_over(inst, G if lift_over_G else F, rng), rng
-
-        return sampled(draw)
-
-    def zero():
-        S, T = blocks(2)
-        return one(T), S
-
-    rows = [
-        ("mul-naturality", mul_naturality_holds, "sigma a b",
-         ((sig, a, b) for S, T in two_block_decompositions(ground)
-          for a in elems_on(S) for b in elems_on(T)
-          for sig in _all_bijections(ground)) if full else sampled(mul_nat)),
-        ("comul-naturality", comul_naturality_holds, "sigma x S",
-         ((sig, x, S, T) for x in elems_on(ground.labels)
-          for S, T in two_block_decompositions(ground)
-          for sig in _all_bijections(ground)) if full else sampled(comul_nat)),
-        ("associativity", associativity_holds, "a b c",
-         ((a, b, c) for A, B, C in ordered_decompositions(ground, 3)
-          for a in elems_on(A) for b in elems_on(B) for c in elems_on(C))
-         if full else sampled(lambda: tuple(one(X) for X in blocks(3)))),
-        ("coassociativity", coassociativity_holds, "x A B",
-         ((x, A, B, C) for x in elems_on(ground.labels)
-          for A, B, C in ordered_decompositions(ground, 3)) if full else sampled(coassoc)),
-        ("square", square_holds, "a b S T U",
-         ((a, b, S, T, U, V) for S, T, U, V in ordered_decompositions(ground, 4)
-          for a in elems_on(S, T) for b in elems_on(U, V))
-         if full else sampled(square)),
-        ("general-square", general_square_holds, "F G elems",
-         (general_square(F, G) for F in _comps(ground) for G in _comps(ground)) if full
-         else sampled(lambda: general_square(
-             _random_composition(ground, rng), _random_composition(ground, rng)))),
-        ("perm-naturality-mul", perm_naturality_mul_holds, "F G beta elems", perm_nat(False)),
-        ("perm-naturality-comul", perm_naturality_comul_holds, "F G beta elems", perm_nat(True)),
-        ("merge-independence-mul", partial(merge_independence_holds, lift=lift_mul),
-         "F G elems", merge(False)),
-        ("merge-independence-comul", partial(merge_independence_holds, lift=lift_comul),
-         "F G elems", merge(True)),
-    ]
-    if inst.zero_of is not None:
-        rows.append(("zero-absorption", zero_absorption_holds, "y S", sampled(zero)))
     return [
-        _report(law, ((pred(inst, *case), lambda case=case: _describe(names, case))
-                      for case in cases))
-        for law, pred, names, cases in rows
+        _report(law.name, ((law.holds(inst, *case), lambda case=case: _describe(law.names, case))
+                           for case in _cases(law, budget)))
+        for law in laws
     ]
 
 

@@ -7,7 +7,7 @@ restriction, and the `PointSet` carrier that every lattice-point window
 The cone of a preposet p lives in the zero-sum lattice. Membership is decided
 by the halfspace description: the pairing with every admissible upward split
 of p must be nonpositive. The generator description (nonnegative spans of
-coroots) is kept for test oracles only.
+coroots) lives in the tests, as an oracle.
 """
 from __future__ import annotations
 
@@ -215,11 +215,6 @@ def cone_contains(p: AugPreposet, h) -> bool:
     if p.ground != h.ground:
         raise ValueError("ground sets differ")
     return all(_mask_sum(h.coords, S) <= 0 for S in upward_masks(p))
-
-
-def cone_generators(p: Preposet) -> tuple[CoweightVector, ...]:
-    """The generating coroots: one for each related pair, oriented downward."""
-    return tuple(coroot(b, a, p.ground) for a, b in p.pairs)
 
 
 def cone_lattice_points(p: AugPreposet, box: Box) -> PointSet:

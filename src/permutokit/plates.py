@@ -1,7 +1,7 @@
 """Plates: regions cut out by the initial-segment inequalities of a
 composition against a subset function, inside the affine slice of total
-height. Includes windowed lattice enumeration, maximal affine flats, face
-membership, and the juxtaposition map between flats.
+height. Includes windowed lattice enumeration, flat and face membership,
+and the window centre on the maximal affine flat.
 
 Near its centre a plate is a translated cone: a plate window is the window
 centre plus the cone window of the proper initial segments of H, for every
@@ -10,14 +10,14 @@ z, submodular or not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import _kernels
 from .boolfun import BooleanFunction, hei
-from .cones import AffinePoint, PointSet, juxtaposed, pairing, restricted
-from .setcomp import EMPTY_GROUND, Composition, GroundSet, _mask_sum, _unchecked, refines
+from .cones import AffinePoint, PointSet, pairing, restricted
+from .setcomp import Composition, GroundSet, _mask_sum, _unchecked, refines
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,6 @@ def _lump_heights(z: BooleanFunction, masks: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def max_affine_flat(P: Plate) -> FlatSpec:
-    """The flat obtained by forcing every initial-segment inequality to an
-    equality: per-lump heights are the consecutive differences of z along H."""
-    return FlatSpec(P.H, _lump_heights(P.z, _prefix_masks(P.H)))
-
-
 def flat_contains(spec: FlatSpec, h: AffinePoint) -> bool:
     if spec.F.ground != h.ground:
         raise ValueError("ground sets differ")
@@ -129,18 +123,6 @@ def plate_lattice_points(P: Plate, box) -> PointSet:
 def restrict_point(h: AffinePoint, S: Iterable) -> AffinePoint:
     ground = GroundSet.of(S)
     return AffinePoint(ground, restricted(h, ground))
-
-
-def flat_mul(points: Sequence[AffinePoint], heights: Sequence[int]) -> AffinePoint:
-    """Juxtapose points whose coordinate sums match the prescribed heights."""
-    if len(points) != len(heights):
-        raise ValueError("one height per point required")
-    ground = EMPTY_GROUND
-    for pt, a in zip(points, heights):
-        if pt.total() != a:
-            raise ValueError("coordinate sum does not match the prescribed height")
-        ground = ground.union(pt.ground)  # raises on overlap
-    return AffinePoint(ground, juxtaposed(ground, points))
 
 
 def plate_F_face_contains(P: Plate, F: Composition, h: AffinePoint) -> bool:

@@ -26,7 +26,6 @@ from permutokit.axioms import (
 from permutokit.boolfun import (
     BooleanFunction,
     bf_comul,
-    bf_comul_along,
     bf_mul,
     hei,
 )
@@ -40,7 +39,7 @@ from permutokit.cones import (
     pairing,
 )
 from permutokit.opens import check_indexing
-from permutokit.plates import Plate, flat_mul, plate_F_face_contains, plate_lattice_points, window_center
+from permutokit.plates import Plate, plate_F_face_contains, plate_lattice_points, window_center
 from permutokit.points import PermPoint, evaluate, point_comul
 from permutokit.preposet import (
     Bottom,
@@ -61,6 +60,7 @@ from permutokit.setcomp import (
     restrict,
     two_block_decompositions,
 )
+from oracle_maps import bf_comul_along, flat_mul
 from split_oracle import split_admissible
 
 GROUNDS = {n: GroundSet.of(range(1, n + 1)) for n in (1, 2, 3, 4)}

@@ -286,6 +286,20 @@ class TestPinnedReports:
         payload = json.dumps([[dataclasses.astuple(r) for r in rs] for rs in runs])
         assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_REPORTS_SHA256
 
+    def test_listing_order_is_pinned(self):
+        """Two sigma mutants that fail only on some cases, checked exhaustively
+        on 3 labels: the (checked, counterexample) of every law fixes the
+        order of each listing up to its first failure. Values recorded
+        before the laws became rows of factors."""
+        mul_on_23 = _mutated(sigma_instance(), mul=lambda a, b: (
+            concatenate(b, a) if a.ground.labels == (2, 3) else concatenate(a, b)))
+        comul_on_12 = _mutated(sigma_instance(), comul=lambda F, S, T: (
+            reversed_lumps(restrict(F, S)) if S[:1] == (1,) and len(S) == 2 else restrict(F, S),
+            restrict(F, T)))
+        reports = [[(r.checked, r.counterexample) for r in check_all(m, G3, exhaustive=True)]
+                   for m in (mul_on_23, comul_on_12)]
+        assert reports == PINNED_LISTING_ORDER
+
 
 def oracle_elements(name):
     """A separate copy of each instance's element source as one budgeted
@@ -369,6 +383,12 @@ class TestInstanceRegistry:
         assert inst.comul(prod, (1,), (2, 3)) == point_comul(prod, (1,), (2, 3))
 
 
+def row_lengths(inst, n, budget, exhaustive):
+    """The length of each law's row on n labels, in report order."""
+    laws = axioms._laws(inst, GroundSet.of(range(1, n + 1)), random.Random(0), exhaustive)
+    return [axioms._length(law, n, budget) for law in laws]
+
+
 class TestCaseCounts:
     """check_all's estimate of the cases it checks, law by law, which it
     charges to the work budget before listing anything, against the cases
@@ -382,12 +402,12 @@ class TestCaseCounts:
     def test_exhaustive_estimate_is_the_checked_count(self, name, n):
         inst = INSTANCES[name]()
         reports = check_all(inst, GroundSet.of(range(1, n + 1)), exhaustive=True, budget=3)
-        assert [r.checked for r in reports] == axioms._case_counts(inst, n, 3, True)
+        assert [r.checked for r in reports] == row_lengths(inst, n, 3, True)
 
     def test_o_bullet_on_four_labels_is_criterion_01s_count(self):
         from test_acceptance import FROZEN_N4
 
-        counts = axioms._case_counts(o_bullet_instance(), 4, 200, True)
+        counts = row_lengths(o_bullet_instance(), 4, 200, True)
         assert counts[:6] == list(FROZEN_N4.values())
         assert sum(counts[:6]) == 262_097
 
@@ -395,7 +415,7 @@ class TestCaseCounts:
     def test_sampled_estimate_is_the_checked_count(self, name):
         inst = INSTANCES[name]()
         reports = check_all(inst, G3, seed=4, budget=7)
-        assert [r.checked for r in reports] == axioms._case_counts(inst, 3, 7, False)
+        assert [r.checked for r in reports] == row_lengths(inst, 3, 7, False)
 
     def test_exhaustive_cases_past_the_budget_are_refused_before_any_list(self, monkeypatch):
         def no_list(ground):
@@ -405,3 +425,50 @@ class TestCaseCounts:
         monkeypatch.setattr(axioms, "_comps", no_list)
         with pytest.raises(ValueError, match="checking 2907211 law cases on 5 labels"):
             check_all(inst, GroundSet.of(range(1, 6)), exhaustive=True)
+
+    def test_a_decomposition_size_off_by_one_is_caught(self, monkeypatch):
+        decomposition = axioms._decomposition
+
+        def miscounted(ground, k, rng):
+            f = decomposition(ground, k, rng)
+            return f._replace(size=lambda ks: f.size(ks) + (ks[0] == 1))
+
+        monkeypatch.setattr(axioms, "_decomposition", miscounted)
+        inst = sigma_instance()
+        reports = check_all(inst, GroundSet.of([1, 2]), exhaustive=True, budget=3)
+        lengths = row_lengths(inst, 2, 3, True)
+        assert [r.law for r, m in zip(reports, lengths) if r.checked != m] == [
+            "mul-naturality", "comul-naturality", "associativity", "coassociativity", "square"]
+
+
+def reversed_lumps(F):
+    return Composition.of([list(l) for l in reversed(F.lumps)]) if F.lumps else F
+
+
+SIGMA_123 = "Bijection(source=GroundSet(labels=(1, 2, 3)), target=GroundSet(labels=(1, 2, 3)), "
+PINNED_LISTING_ORDER = [
+    [
+        (119, f"sigma={SIGMA_123}pairs=((1, 3), (2, 1), (3, 2))) a=({{1}}|{{2}}) b=({{3}})"),
+        (624, None),
+        (70, "a=({2}) b=({3}) c=({1})"),
+        (351, None),
+        (180, "a=({2}|{3}) b=({1}) S=(2,) T=(3,) U=(1,)"),
+        (30, "F=({2}|{3}|{1}) G=({1,2}|{3}) elems=(({2}), ({3}), ({1}))"),
+        (200, None),
+        (200, None),
+        (39, "F=({2}|{3}|{1}) G=({1,2,3}) elems=(({2}), ({3}), ({1}))"),
+        (200, None),
+    ],
+    [
+        (264, None),
+        (21, f"sigma={SIGMA_123}pairs=((1, 2), (2, 1), (3, 3))) x=({{1}}|{{2}}|{{3}}) S=(1, 2)"),
+        (99, None),
+        (3, "x=({1}|{2}|{3}) A=(1, 2) B=()"),
+        (27, "a=({1}|{2}) b=({3}) S=(1, 2) T=() U=(3,)"),
+        (4, "F=({1}|{2}|{3}) G=({1,2}|{3}) elems=(({1}), ({2}), ({3}))"),
+        (200, None),
+        (200, None),
+        (200, None),
+        (200, None),
+    ],
+]

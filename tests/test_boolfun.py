@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from permutokit.boolfun import (
     BooleanFunction,
     bf_comul,
-    bf_comul_along,
     bf_equivalent,
     bf_mul,
     hei,
@@ -20,6 +19,8 @@ from permutokit.boolfun import (
 )
 from permutokit.cones import CoweightVector, cone_product_map
 from permutokit.setcomp import Bijection, Composition, GroundSet
+
+from oracle_maps import bf_comul_along, submodular_by_all_pairs
 
 
 def bf(labels, values):
@@ -235,6 +236,28 @@ class TestGeneralizedPermutohedron:
             zS, zT = bf_comul(z, [1, 4], [2, 3])
             assert is_generalized_permutohedron(zS)
             assert is_generalized_permutohedron(zT)
+
+    def test_local_condition_is_the_all_pairs_condition(self):
+        """The squares A, A+i, A+j, A+i+j decide submodularity exactly as
+        every pair of subsets does, on random and on submodular tables on
+        up to 6 labels; both kinds give both answers."""
+        rng = random.Random(12)
+        answers = set()
+        for n in range(7):
+            labels = list(range(1, n + 1))
+            for _ in range(60):
+                z = _random_bf(rng, labels, -1, 2)
+                answers.add(submodular_by_all_pairs(z))
+                assert is_generalized_permutohedron(z) == submodular_by_all_pairs(z)
+                z = _random_submodular(rng, labels)
+                assert is_generalized_permutohedron(z) and submodular_by_all_pairs(z)
+                # one value raised breaks some square, or none
+                m = rng.randrange(1 << n)
+                if m:
+                    bumped = bf(labels, [v + (k == m) for k, v in enumerate(z.values)])
+                    answers.add(submodular_by_all_pairs(bumped))
+                    assert is_generalized_permutohedron(bumped) == submodular_by_all_pairs(bumped)
+        assert answers == {True, False}
 
 
 class TestRelabel:

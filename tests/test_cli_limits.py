@@ -596,6 +596,23 @@ def _permutohedron(n, start=1):
     return {"ground": labels, "values": values}
 
 
+# `bf is-gp` compares n(n - 1)/2 * 2^(n - 2) squares of subsets: 16 labels
+# (1966080) are inside the budget, 17 labels (4456448) are not.
+@pytest.mark.parametrize("n, bumped, answer", [(12, False, "true"), (12, True, "false"),
+                                               (16, False, "true")])
+def test_is_gp_answers_on_up_to_16_labels(monkeypatch, capsys, n, bumped, answer):
+    z = _permutohedron(n)
+    if bumped:  # z({1}) raised breaks the squares whose bottom is {1}
+        z["values"]["1"] += 2 * n
+    assert run_cli(monkeypatch, capsys, ["bf", "is-gp"], {"z": z}) == (0, f"{answer}\n", "")
+
+
+def test_is_gp_on_17_labels_exits_two(monkeypatch, capsys):
+    code, out, err = run_cli(monkeypatch, capsys, ["bf", "is-gp"], {"z": _permutohedron(17)})
+    assert_one_line_error(code, out, err)
+    assert err == f"error: comparing the squares of subsets on 17 labels needs 4456448 {OVER_BUDGET}\n"
+
+
 def _fail(what):
     def guard(*args, **kwargs):
         raise AssertionError(f"{what} was started")

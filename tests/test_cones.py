@@ -12,7 +12,6 @@ from permutokit.cones import (
     CoweightVector,
     cone_contains,
     cone_face,
-    cone_generators,
     cone_lattice_points,
     cone_product_map,
     cone_restrict,
@@ -31,6 +30,7 @@ from permutokit.preposet import (
     total_of_composition,
 )
 from permutokit.setcomp import Composition, GroundSet, _split_blocks, two_block_decompositions
+from oracle_maps import cone_generators
 from split_oracle import split_admissible
 
 

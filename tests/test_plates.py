@@ -6,15 +6,14 @@ from itertools import product
 
 import pytest
 
-from permutokit.boolfun import BooleanFunction, bf_comul_along, bf_mul, hei, z_of_point
-from permutokit.cones import Box, cone_generators, cone_product_map, pairing
+from oracle_maps import bf_comul_along, cone_generators, flat_mul, max_affine_flat
+from permutokit.boolfun import BooleanFunction, bf_mul, hei, z_of_point
+from permutokit.cones import Box, cone_product_map, pairing
 from permutokit.plates import (
     AffinePoint,
     FlatSpec,
     Plate,
     flat_contains,
-    flat_mul,
-    max_affine_flat,
     plate_contains,
     plate_F_face_contains,
     plate_lattice_points,

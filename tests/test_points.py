@@ -20,7 +20,7 @@ from permutokit.cones import (
     cone_product_map,
     coroot,
 )
-from permutokit.plates import flat_mul, restrict_point
+from permutokit.plates import restrict_point
 from permutokit.points import PermPoint, evaluate, point_comul, point_mul, point_relabel
 from permutokit.sections import co_mul, global_sections, sections_mul
 from permutokit.setcomp import (
@@ -35,6 +35,8 @@ from permutokit.setcomp import (
 )
 from permutokit.preposet import total_of_composition
 from permutokit.cones import cone_lattice_points, Box, cone_restrict
+
+from oracle_maps import flat_mul
 
 
 def ppt(lumps, mapping):

@@ -12,15 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from narrow_types import THRESHOLDS, holds, one_size_too_narrow
+from oracle_maps import bf_comul_along, max_affine_flat
 from permutokit import _kernels, plates
-from permutokit.boolfun import BooleanFunction, bf_comul_along, hei, z_of_point
+from permutokit.boolfun import BooleanFunction, hei, z_of_point
 from permutokit.cones import Box, CoweightVector, PointSet, cone_lattice_points
 from permutokit.plates import (
     AffinePoint,
     FlatSpec,
     Plate,
     flat_contains,
-    max_affine_flat,
     plate_contains,
     plate_F_face_contains,
     plate_lattice_points,
