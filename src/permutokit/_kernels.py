@@ -1,23 +1,19 @@
-"""Integer lattice kernels: window enumeration and halfspace filtering, in
-numpy. Fixed-width arithmetic is exact only while every sum stays in range,
-so each window is proved in range by `check_int64_window` before it is
-enumerated. The same proof picks the type: a window whose sums reach at most
-n * coord_max is enumerated and filtered in `exact_type(n * coord_max)`, the
-narrowest of int8, int16, int32 and int64 that holds them, and returns int64
-rows.
+"""Integer lattice kernels in numpy. Every window here has one shape,
+{x in Z^n : x(A) <= w(A) for each subset A, x(I) = t}, and `lattice_window`
+lists it one label a level, with no candidate grid. Fixed-width arithmetic
+is exact only while every sum stays in range, so each window is proved in
+range by `check_int64_window` before it is enumerated. The same proof picks
+the type, `exact_type(reach)`, and every window returns int64 rows.
 
-Every subset sum comes from one primitive, `subset_sums`: the mask-major
-table of a row block's coordinate sums over all 2^n subsets, built by
-doubling (the sum over m | 1 << k is the sum over m plus x_k, for m < 2^k).
-Each entry is a sum of at most n coordinates, so the range proof covers it.
+`subset_sums` is the mask-major table of a row block's sums over all 2^n
+subsets, built by doubling (the sum over m | 1 << k is the sum over m plus
+x_k, for m < 2^k), so the range proof covers each entry.
 
-Cone and plate windows share one shape: the rows of the cached zero-sum box
-whose coordinate sum over each of a list of subsets is at most zero. A plate
-window is its centre plus such a cone window, since the centre meets every
-proper initial-segment inequality with equality. `cone_window` answers it
-from a cached table, indexed by mask, of which of the box's subset sums are
-at most zero; section windows, and boxes too large for a table, go through
-the row-chunked `lattice_filter`.
+A cone window is the rows of the zero-sum box whose sum over each of a list
+of subsets is at most zero; a plate window is its centre plus one, since the
+centre meets every proper initial-segment inequality with equality.
+`cone_window` reads it from a cached table of the box's subset-sum signs,
+indexed by mask, or walks it when the box is too large for a table.
 """
 from __future__ import annotations
 
@@ -30,9 +26,8 @@ from .setcomp import _charge
 
 INT64_SAFE = 1 << 62
 
-# Most cells (subsets times rows) of a subset-sum table formed at once,
-# 32 MiB in int64 and 4 MiB in int8; larger row blocks go through
-# lattice_filter in chunks.
+# Most cells (subsets times rows) of a cone sign table, 4 MiB of bools, and
+# of each row chunk of the SectionBasis guard's product.
 FILTER_CELLS = 1 << 22
 
 # each narrow signed type with the largest magnitude it holds on both sides
@@ -91,34 +86,86 @@ def subset_sums(rows, reach: int) -> np.ndarray:
     return out
 
 
-def lattice_filter(cands, bounds, reach: int) -> np.ndarray:
-    """Boolean mask of the candidate rows whose coordinate sum over every
-    subset m is at most bounds[m].
+def lattice_window(bounds, total: int) -> np.ndarray:
+    """All integer x with x(A) <= bounds[A] for every subset bitmask A and
+    x(I) = total, lexicographically ordered, as an (N, n) int64 array.
 
-    cands: (N, n) integers; bounds: 2^n integers, one bound per subset
-    bitmask; reach bounds |every subset sum of every candidate|, and the
-    table and the clipped bounds are formed in exact_type(reach). The
-    subset-sum table is formed for at most FILTER_CELLS cells at a time.
-    """
-    cands = np.asarray(cands)
-    bounds = clipped_bounds(bounds, reach)[:, None]
-    out = np.empty(cands.shape[0], dtype=np.bool_)
-    step = max(1, FILTER_CELLS >> cands.shape[1])
-    for i in range(0, cands.shape[0], step):
-        (subset_sums(cands[i:i + step], reach) <= bounds).all(axis=0, out=out[i:i + step])
-    return out
+    x lies in the box total - bounds[I minus i] <= x_i <= bounds[{i}], whose
+    range is proved first; then the grid of its first n - 1 sides is charged
+    (the last label is forced), 2^max(n, 8) array cells a row. A level fixes
+    label k for every surviving prefix, each with W, the bounds left on the
+    labels not yet fixed, and T = W[all of them], the total left: k ranges
+    over [T - W[rest], W[{k}]], and k = a leaves minimum(W over masks without
+    k, W over masks with k, less a). No level holds more prefixes than the
+    grid has rows; the rows are read back through each level's parents."""
+    b = [int(v) for v in bounds]
+    full = len(b) - 1
+    n = full.bit_length()
+    hi = [b[1 << i] for i in range(n)]
+    lo = [total - b[full ^ 1 << i] for i in range(n)]
+    side = max(map(abs, lo + hi), default=0)
+    check_int64_window(n, side, b + [total])
+    if b[0] < 0 or b[full] < total or any(a > c for a, c in zip(lo, hi)):
+        return np.zeros((0, n), dtype=np.int64)
+    grid_rows = math.prod(c - a + 1 for a, c in zip(lo[:-1], hi[:-1]))
+    _charge(grid_rows << max(n, 8) >> 9, "a window of {} candidate rows on {} labels", grid_rows, n)
+    if not sum(lo) <= total <= sum(hi):
+        return np.zeros((0, n), dtype=np.int64)
+    # Bounds cut to what the box allows (the sum of hi over A, total less the
+    # sum of lo off A) make W[empty set] = 0 and W[I] = total, and keep each
+    # prefix's T within the sides left; clipped to [-reach - 1, reach], they
+    # keep every constraint on the box. Each fixed label lowers an entry by
+    # at most reach / n: entries, and T less one, stay within 2 * reach + 1.
+    reach = n * side
+    t = exact_type(2 * reach + 1)
+    sums = subset_sums([hi, lo], reach).astype(t)
+    W = np.minimum(clipped_bounds(b, reach), sums[:, 0])
+    np.minimum(W, total - sums[::-1, 1], out=W)
+    W = np.maximum(W, -reach - 1, out=W)[None]
+    levels = []
+    for k in range(n - 1):
+        start, counts = _next_values(W, lo[k], hi[k])
+        parent = np.arange(len(W)).repeat(counts)
+        # a child's value: its parent's start plus its rank among siblings
+        a = (np.arange(len(parent)) - (counts.cumsum() - counts - start)[parent]).astype(t)
+        levels.append((parent, a))
+        W = _fix(W, parent, a)
+    rows = np.empty((len(W), n), dtype=np.int64)
+    rows[:, n - 1:] = W[:, -1:]  # the last label takes the total left
+    at = slice(None)
+    for k in reversed(range(n - 1)):
+        parent, a = levels[k]
+        rows[:, k] = a[at]
+        at = parent[at]
+    return rows
+
+
+def _next_values(W, lo: int, hi: int):
+    """Each prefix's first value of label k (bit 0) and their count: [T -
+    W[rest], W[{k}]] within k's side [lo, hi], which bounds every count."""
+    start = np.maximum(W[:, -1] - W[:, -2], lo)
+    stop = np.minimum(W[:, 1], hi) + 1
+    np.maximum(stop, start, out=stop)
+    return start, stop - start
+
+
+def _fix(W, parent, a) -> np.ndarray:
+    """The children's tables, label k (bit 0) fixed to a under each parent:
+    minimum(W over masks without k, W over masks with k, less a)."""
+    out = W[:, 0::2].take(parent, axis=0)
+    with_k = W[:, 1::2].take(parent, axis=0)
+    with_k -= a[:, None]
+    return np.minimum(out, with_k, out=out)
 
 
 @lru_cache(maxsize=16)
-def _cone_table(n: int, bound: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """zero_sum_box(n, bound) and its read-only (2^n, N) bool table: row m
-    says, for every box row, whether its coordinate sum over mask m is at
-    most zero. The table is None when it would have more than FILTER_CELLS
-    cells, so one table holds at most FILTER_CELLS bytes (4 MiB) and the
-    cache at most 16 * FILTER_CELLS (64 MiB)."""
+def _cone_table(n: int, bound: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """zero_sum_box(n, bound) and its read-only (2^n, N) bool table, row m
+    saying which box rows sum to at most zero over mask m; None, with nothing
+    built, when the box's grid times 2^n passes FILTER_CELLS (a 4 MiB table)."""
+    if (1 << n) * (2 * bound + 1) ** max(n - 1, 0) > FILTER_CELLS:
+        return None
     box = zero_sum_box(n, bound)
-    if (1 << n) * box.shape[0] > FILTER_CELLS:
-        return box, None
     signs = subset_sums(box, n * bound) <= 0
     signs.setflags(write=False)
     return box, signs
@@ -127,19 +174,13 @@ def _cone_table(n: int, bound: int) -> tuple[np.ndarray, np.ndarray | None]:
 def cone_window(n: int, bound: int, masks) -> np.ndarray:
     """The rows of zero_sum_box(n, bound) whose coordinate sum over every
     mask in masks (bitmasks of nonempty proper subsets) is at most zero, in
-    the box's lexicographic order, as a new (K, n) int64 array.
-
-    When the box has a sign table, each mask costs one AND of a cached table
-    row; larger boxes go through lattice_filter."""
-    box, signs = _cone_table(n, bound)
-    if signs is None:
-        # no subset sum of the box exceeds n * bound, so only masks bind
-        bounds = np.full(1 << n, n * bound, dtype=np.int64)
-        bounds[list(masks)] = 0
-        keep = lattice_filter(box, bounds, n * bound)
-    else:
-        keep = signs.take(masks, axis=0).all(axis=0)
-    return box.compress(keep, axis=0)
+    the box's order, as a new (K, n) int64 array: from the cached sign
+    table, or walked, without building the box, when it has none."""
+    table = _cone_table(n, bound)
+    if table is None:
+        return lattice_window(_box_bounds(n, bound, masks), 0)
+    box, signs = table
+    return box.compress(signs.take(masks, axis=0).all(axis=0), axis=0)
 
 
 @lru_cache(maxsize=64)
@@ -148,51 +189,17 @@ def zero_sum_box(n: int, bound: int) -> np.ndarray:
     lexicographically ordered, as a read-only (N, n) int64 array."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    out = ranged_sum_box([-bound] * n, [bound] * n, 0)
+    out = lattice_window(_box_bounds(n, bound, ()), 0)
     out.setflags(write=False)
     return out
 
 
-def ranged_sum_box(lo, hi, total: int) -> np.ndarray:
-    """All integer vectors with lo <= x <= hi coordinatewise and sum == total,
-    lexicographically ordered, as an (N, n) int64 array.
-
-    The candidate grid of the first n - 1 coordinates, and the last
-    coordinate total minus their sum, are formed in the exact_type of
-    |total| + (n - 1) * max(|lo_i|, |hi_i|), which bounds every partial sum.
-    The grid (the product of the first n - 1 side lengths) is charged first,
-    2^max(n, 8) array cells a row: the 2^n subset sums its callers read, and
-    the row itself, in its exact_type and in int64."""
-    lo = [int(v) for v in lo]
-    hi = [int(v) for v in hi]
-    n = len(lo)
-    if n == 0:
-        return np.zeros((1 if total == 0 else 0, 0), dtype=np.int64)
-    if any(a > b for a, b in zip(lo, hi)):
-        return np.zeros((0, n), dtype=np.int64)
-    if n == 1:
-        if lo[0] <= total <= hi[0]:
-            return np.array([[total]], dtype=np.int64)
-        return np.zeros((0, 1), dtype=np.int64)
-    sides = [b - a + 1 for a, b in zip(lo[:-1], hi[:-1])]
-    grid_rows = math.prod(sides)
-    _charge(grid_rows << max(n, 8) >> 9, "a window of {} candidate rows on {} labels", grid_rows, n)
-    t = exact_type(abs(total) + (n - 1) * max(map(abs, lo + hi)))
-    # the grid of the first n - 1 coordinates in C order, which is
-    # lexicographic, and the last coordinate, total minus their sum: one
-    # broadcast write and one subtraction per side
-    first = np.empty(sides + [n - 1], dtype=t)
-    last = np.full(sides, total, dtype=t)
-    for j, a in enumerate(lo[:-1]):
-        side = np.arange(a, a + sides[j], dtype=t).reshape(
-            [-1 if k == j else 1 for k in range(n - 1)]
-        )
-        first[..., j] = side
-        last -= side
-    first = first.reshape(grid_rows, n - 1)
-    last = last.reshape(grid_rows)
-    keep = (last >= lo[-1]) & (last <= hi[-1])
-    out = np.empty((int(np.count_nonzero(keep)), n), dtype=np.int64)
-    out[:, :-1] = first.compress(keep, axis=0)
-    out[:, -1] = last.compress(keep)
+def _box_bounds(n: int, bound: int, masks) -> np.ndarray:
+    """The bounds of [-bound, bound]^n at total zero with sums over masks at
+    most zero: bound on each label and on its complement (x_i >= -bound),
+    zero on masks, and n * bound, which no sum of the box exceeds, elsewhere."""
+    out = np.full(1 << n, n * bound, dtype=np.int64)
+    singles = 1 << np.arange(n, dtype=np.int64)
+    out[singles] = out[(1 << n) - 1 ^ singles] = bound
+    out[list(masks)] = 0
     return out

@@ -102,8 +102,8 @@ class SectionBasis:
         if (rows.sum(axis=1) != hei(z)).any():
             raise ValueError("point has the wrong coordinate sum")
         # the guard's own range proof, from the rows and not from the window
-        # the filter was given, so that this check stays independent of the
-        # filter it guards: no subset sum of a row exceeds n * coord_max
+        # the walk was given, so that this check stays independent of the
+        # walk it guards: no subset sum of a row exceeds n * coord_max
         n = len(z.ground)
         reach = n * max(int(rows.max()), -int(rows.min())) if rows.size else 0
         t = _kernels.exact_type(reach)
@@ -130,16 +130,8 @@ def _indicator_columns(n: int, t: type) -> np.ndarray:
 def global_sections(z: BooleanFunction) -> SectionBasis:
     """All integer h with coordinate sum hei(z) and pairing(h,A) <= z(A) for
     every nonempty proper A. Finite: z(I) - z(I minus i) <= h_i <= z({i})."""
-    ground = z.ground
-    n = len(ground)
-    full = (1 << n) - 1
-    lo = [z.values[full] - z.values[full ^ (1 << i)] for i in range(n)]
-    hi = [z.values[1 << i] for i in range(n)]
-    coord_max = max(map(abs, lo + hi), default=0)
-    _kernels.check_int64_window(n, coord_max, z.values)
-    cands = _kernels.ranged_sum_box(lo, hi, hei(z))
-    keep = _kernels.lattice_filter(cands, z.values, n * coord_max)
-    return SectionBasis(z, PointSet(ground, cands.compress(keep, axis=0), AffinePoint))
+    rows = _kernels.lattice_window(z.values, hei(z))
+    return SectionBasis(z, PointSet(z.ground, rows, AffinePoint))
 
 
 def sections_mul(s1: SectionBasis, s2: SectionBasis) -> SectionBasis:

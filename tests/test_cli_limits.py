@@ -103,12 +103,12 @@ def test_bare_memory_error_names_itself(monkeypatch, capsys):
 
 
 # Windows whose candidate grid is over the work budget are refused before any
-# array is allocated: 13^7 grid rows for the cone, (10^5 + 1)^3 for the sections.
+# array is allocated: 7 * 13^6 grid rows for the cone of the 8-label chain,
+# whose up-sets pin the first label to [0, 6] and the last to [-6, 0], and
+# (10^5 + 1)^3 for the sections.
+CHAIN_8 = {"ground": list(range(1, 9)), "rel": [[a, b] for a in range(1, 9) for b in range(a + 1, 9)]}
 OVERSIZED = {
-    "cone-points-n8-bound6": (
-        ["cone", "points", "--bound", "6"],
-        {"p": {"ground": list(range(1, 9)), "rel": []}},
-    ),
+    "cone-points-n8-bound6": (["cone", "points", "--bound", "6"], {"p": CHAIN_8}),
     "sections-count-singletons-1e5": (
         ["sections", "count"],
         {"z": {"ground": [1, 2, 3, 4], "values": {
@@ -131,6 +131,20 @@ def test_oversized_window_exits_two_before_allocating(monkeypatch, capsys, argv,
     assert "candidate rows on" in result[2]
     assert "units of work, above the budget of 4194304" in result[2]
     assert peak < 32 << 20
+
+
+def test_cone_window_pinned_by_its_up_sets_answers(monkeypatch, capsys):
+    # every label and every complement of a label is an up-set of the
+    # antichain, so each side is [0, 0]: one grid row, not 13^7 box rows
+    payload = {"p": {"ground": list(range(1, 9)), "rel": []}}
+    argv = ["cone", "points", "--bound", "6"]
+    assert run_cli(monkeypatch, capsys, argv, payload) == (
+        0, 'points: [{"coords": {"1": 0, "2": 0, "3": 0, "4": 0, "5": 0, "6": 0, "7": 0, "8": 0}}]\n', ""
+    )
+    code, _, err = run_cli(monkeypatch, capsys, argv, {"p": CHAIN_8})
+    assert code == 2
+    assert err == ("error: a window of 33787663 candidate rows on 8 labels needs 16893831 units"
+                   " of work, above the budget of 4194304\n")
 
 
 def test_sections_mul_with_empty_ground_factor(monkeypatch, capsys):

@@ -1,17 +1,23 @@
-"""Enumeration kernels: candidate boxes, the doubling subset-sum table
-against the indicator-matrix product it replaced, and the constraint filter,
-with agreement between the one-chunk and the row-chunked filter and a bound
-on the filter's memory. Each kernel is also checked against exact Python
-sums at reaches on each side of the int8, int16 and int32 limits, where it
+"""Enumeration kernels: zero-sum and ranged-sum boxes, the doubling
+subset-sum table against the indicator-matrix product it replaced, and the
+walk that lists a lattice window, against an exact scan of its box, with
+two mutants of the walk that the scan catches and bounds on the memory of
+large cone windows. Each kernel is also checked against exact Python sums
+at reaches on each side of the int8, int16 and int32 limits, where it
 changes type, and those checks catch a type one size too narrow."""
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from narrow_types import THRESHOLDS, holds, one_size_too_narrow
 from permutokit import _kernels
+
+# a bound no sum of the windows here reaches, in the int64 range
+FAR = 1 << 61
 
 
 class TestZeroSumBox:
@@ -45,32 +51,43 @@ class TestZeroSumBox:
             box[0, 0] = 99
 
 
+def box_bounds(lo, hi, total):
+    """The bounds of the box lo <= x <= hi at the given total: hi_i on {i},
+    total - lo_i on its complement (x_i >= lo_i), the least of the two where
+    they name one mask, and FAR, which no sum of the box reaches, on every
+    other mask."""
+    n = len(lo)
+    full = (1 << n) - 1
+    bounds = [FAR] * (1 << n)
+    for i in range(n):
+        bounds[1 << i] = min(bounds[1 << i], hi[i])
+        bounds[full ^ 1 << i] = min(bounds[full ^ 1 << i], total - lo[i])
+    return bounds
+
+
+def ranged_sum_box(lo, hi, total):
+    """All integer vectors with lo <= x <= hi and sum total, as the walk
+    lists them from the box's bounds."""
+    return _kernels.lattice_window(box_bounds(lo, hi, total), total)
+
+
 class TestRangedSumBox:
     def test_binary_split(self):
-        box = _kernels.ranged_sum_box(
-            np.array([0, 0], dtype=np.int64), np.array([1, 1], dtype=np.int64), 1
-        )
-        assert sorted(map(tuple, box.tolist())) == [(0, 1), (1, 0)]
+        box = ranged_sum_box([0, 0], [1, 1], 1)
+        assert box.tolist() == [[0, 1], [1, 0]]
 
     def test_empty_when_bounds_cross(self):
-        box = _kernels.ranged_sum_box(
-            np.array([2], dtype=np.int64), np.array([1], dtype=np.int64), 1
-        )
-        assert box.shape[0] == 0
+        assert ranged_sum_box([2], [1], 1).shape == (0, 1)
+        assert ranged_sum_box([0, 2, 0], [3, 1, 3], 2).shape == (0, 3)
 
     def test_zero_variables(self):
-        assert _kernels.ranged_sum_box(
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0
-        ).shape == (1, 0)
-        assert _kernels.ranged_sum_box(
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 3
-        ).shape[0] == 0
+        assert ranged_sum_box([], [], 0).shape == (1, 0)
+        assert ranged_sum_box([], [], 3).shape == (0, 0)
 
     def test_rows_hit_total_within_bounds(self):
-        lo = np.array([-1, 0, 1], dtype=np.int64)
-        hi = np.array([2, 2, 3], dtype=np.int64)
-        box = _kernels.ranged_sum_box(lo, hi, 4)
-        assert box.shape[0] > 0
+        lo, hi = [-1, 0, 1], [2, 2, 3]
+        box = ranged_sum_box(lo, hi, 4)
+        assert box.dtype == np.int64 and box.shape[0] > 0
         assert (box.sum(axis=1) == 4).all()
         assert (box >= lo).all() and (box <= hi).all()
 
@@ -78,7 +95,7 @@ class TestRangedSumBox:
         # the first n - 1 sides span 4097 * 4096 = 2^24 + 4096 rows, charged
         # half a step each against the 2^22 of the work budget
         with pytest.raises(ValueError, match="16781312 candidate rows .* 8390656 units"):
-            _kernels.ranged_sum_box([0, 0, 0], [4096, 4095, 0], 0)
+            ranged_sum_box([0, 0, 0], [4096, 4095, 0], 0)
 
 
 def _indicator(n, masks):
@@ -86,25 +103,6 @@ def _indicator(n, masks):
     sums that the doubling table replaced, kept here as its oracle."""
     masks = np.asarray(masks, dtype=np.int64)
     return (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1
-
-
-def _direct(cands, bounds):
-    n = cands.shape[1]
-    return (cands @ _indicator(n, range(1 << n)).T <= bounds).all(axis=1)
-
-
-def _reach(cands):
-    """n * coord_max: no subset sum of a row of cands exceeds it."""
-    return cands.shape[1] * int(np.abs(cands).max(initial=0))
-
-
-def _random_instance(rng, n_masks, n, n_cands):
-    """Candidates and a bound per subset: n_masks random masks get a bound
-    in [-3, 3], every other subset one no candidate sum reaches."""
-    bounds = np.full(1 << n, 4 * n, dtype=np.int64)
-    bounds[rng.integers(0, 1 << n, size=n_masks)] = rng.integers(-3, 4, size=n_masks)
-    cands = rng.integers(-4, 5, size=(n_cands, n)).astype(np.int64)
-    return cands, bounds
 
 
 class TestSubsetSums:
@@ -139,59 +137,111 @@ class TestSubsetSums:
         assert _kernels.subset_sums(np.zeros((2, 0), dtype=np.int64), 0).tolist() == [[0, 0]]
 
 
-class TestLatticeFilter:
+def _pair(x, m):
+    return sum(v for k, v in enumerate(x) if m >> k & 1)
+
+
+def scan(bounds, total):
+    """The window by exact Python sums: every point of the box of its sides,
+    x_i <= bounds[{i}] and x_i >= total - bounds[I minus i], in lexicographic
+    order, that sums to total and meets the bound of every mask."""
+    full = len(bounds) - 1
+    n = full.bit_length()
+    sides = [range(total - bounds[full ^ 1 << i], bounds[1 << i] + 1) for i in range(n)]
+    return [
+        x for x in itertools.product(*sides)
+        if sum(x) == total and all(_pair(x, m) <= bounds[m] for m in range(full + 1))
+    ]
+
+
+def walk_agrees(bounds, total):
+    got = _kernels.lattice_window(bounds, total)
+    return got.dtype == np.int64 and [tuple(r) for r in got.tolist()] == scan(bounds, total)
+
+
+def permutohedron(n):
+    return [sum(range(n, n - bin(m).count("1"), -1)) for m in range(1 << n)]
+
+
+@st.composite
+def walk_cases(draw):
+    """(bounds, total) on 0 to 5 labels: arbitrary bounds, some of them far
+    above every sum or far below it, or those of a coverage function plus a
+    modular shift (submodular), and a total from below the least sum the
+    sides reach to above the greatest. The bounds of each label and of its
+    complement are then moved to within a few units of [-3, 3], which keeps
+    the sides short, in range and at times crossing."""
+    n = draw(st.integers(0, 5))
+    full = (1 << n) - 1
+    if draw(st.booleans()):
+        value = st.one_of(st.integers(-3, 9), st.integers(-3, 9), st.just(FAR))
+        bounds = draw(st.lists(value, min_size=full + 1, max_size=full + 1))
+        if draw(st.integers(0, 3)) == 0:
+            bounds[draw(st.integers(0, full))] = -FAR
+    else:
+        blocks = draw(st.lists(st.tuples(st.integers(1, max(full, 1)), st.integers(0, 3)), max_size=4))
+        shift = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        bounds = [sum(w for blk, w in blocks if m & blk) + _pair(shift, m) for m in range(full + 1)]
+    total = draw(st.integers(-3 * n - 2, 3 * n + 2))
+    if draw(st.booleans()) and abs(bounds[full]) < FAR:
+        total = bounds[full]
+    for i in range(n):
+        bounds[full ^ 1 << i] = min(max(bounds[full ^ 1 << i], total - 4), total + 3)
+        bounds[1 << i] = min(max(bounds[1 << i], -4), 3)
+    return bounds, total
+
+
+class TestLatticeWindow:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(walk_cases())
+    def test_matches_the_exact_scan(self, case):
+        assert walk_agrees(*case)
+
     def test_matches_direct_check(self):
-        rng = np.random.default_rng(11)
-        cands, bounds = _random_instance(rng, 4, 3, 60)
-        mask = _kernels.lattice_filter(cands, bounds, _reach(cands))
-        expect = _direct(cands, bounds)
-        assert 0 < expect.sum() < len(expect)
-        assert (mask == expect).all()
-
-    def test_paths_agree(self, monkeypatch):
-        # 16 table rows: one chunk of all 40 rows, and chunks of 1, 2, 3 and 39
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            cands, bounds = _random_instance(rng, 3, 4, 40)
-            whole = _kernels.lattice_filter(cands, bounds, _reach(cands))
-            assert (whole == _direct(cands, bounds)).all()
-            for cells in (1, 16 * 2, 16 * 3, 16 * 39):
-                monkeypatch.setattr(_kernels, "FILTER_CELLS", cells)
-                assert (_kernels.lattice_filter(cands, bounds, _reach(cands)) == whole).all()
-            monkeypatch.undo()
-
-    def test_chunked_filter_matches_direct_check(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        cands, bounds = _random_instance(rng, 6, 5, 1000)
-        expect = _direct(cands, bounds)
-        assert 0 < expect.sum() < len(expect)
-        # 32 table rows, 7 candidate rows a chunk: 143 chunks, the last partial
-        monkeypatch.setattr(_kernels, "FILTER_CELLS", 7 * 32)
-        assert (_kernels.lattice_filter(cands, bounds, _reach(cands)) == expect).all()
-        monkeypatch.setattr(_kernels, "FILTER_CELLS", 1)
-        assert (_kernels.lattice_filter(cands, bounds, _reach(cands)) == expect).all()
-        assert _kernels.lattice_filter(cands[:0], bounds, 0).shape == (0,)
+        # the box [-4, 4]^4 at total 1, four of its six pairs bound in [-3, 3]
+        rng = np.random.default_rng(15)
+        bounds = box_bounds([-4] * 4, [4] * 4, 1)
+        for m in rng.choice([3, 5, 6, 9, 10, 12], size=4, replace=False):
+            bounds[m] = min(bounds[m], int(rng.integers(-3, 4)))
+        want = scan(bounds, 1)
+        assert 0 < len(want) < len(scan(box_bounds([-4] * 4, [4] * 4, 1), 1))
+        assert walk_agrees(bounds, 1)
 
     def test_empty_and_full_masks_bound_like_any_other(self):
-        # mask 0 is the empty sum, 0; mask 2^n - 1 is the row total
-        rng = np.random.default_rng(23)
-        cands = rng.integers(-4, 5, size=(200, 3)).astype(np.int64)
-        bounds = np.array([0, 12, 2, 12, 12, 3, 12, 1], dtype=np.int64)
-        expect = _direct(cands, bounds)
-        assert 0 < expect.sum() < len(expect)
-        assert (_kernels.lattice_filter(cands, bounds, _reach(cands)) == expect).all()
-        assert (expect == ((cands.sum(axis=1) <= 1) & (cands[:, 1] <= 2)
-                           & (cands[:, 0] + cands[:, 2] <= 3))).all()
-        bounds[0] = -1
-        assert not _kernels.lattice_filter(cands, bounds, _reach(cands)).any()
+        # mask 0 is the empty sum, 0; mask 2^n - 1 is the total
+        bounds = permutohedron(3)
+        assert walk_agrees(bounds, 6) and len(scan(bounds, 6)) == 7
+        assert _kernels.lattice_window([-1] + bounds[1:], 6).shape == (0, 3)
+        assert _kernels.lattice_window(bounds[:-1] + [5], 6).shape == (0, 3)
+        assert _kernels.lattice_window(bounds[:-1] + [7], 6).tolist() == (
+            _kernels.lattice_window(bounds, 6).tolist()
+        )
+        assert _kernels.lattice_window([-1], 0).shape == (0, 0)
 
     def test_no_constraints_keeps_everything(self):
-        cands = np.zeros((5, 2), dtype=np.int64)
-        assert _kernels.lattice_filter(cands, np.zeros(4, dtype=np.int64), 0).all()
+        lo, hi = [-1, 0, 2, -2], [1, 3, 2, 0]
+        want = [x for x in itertools.product(*map(range, lo, [h + 1 for h in hi])) if sum(x) == 1]
+        assert [tuple(r) for r in ranged_sum_box(lo, hi, 1).tolist()] == want
+
+    def test_the_scan_catches_a_walk_without_the_masks_with_k(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_fix", lambda W, parent, a: W[:, 0::2].take(parent, axis=0))
+        assert not all(holds(lambda: walk_agrees(permutohedron(n), n * (n + 1) // 2))
+                       for n in range(2, 5))
+
+    def test_the_scan_catches_a_range_off_by_one(self, monkeypatch):
+        real = _kernels._next_values
+
+        def one_past_the_end(*args):
+            start, counts = real(*args)
+            return start, counts + 1
+
+        monkeypatch.setattr(_kernels, "_next_values", one_past_the_end)
+        assert not all(holds(lambda: walk_agrees(permutohedron(n), n * (n + 1) // 2))
+                       for n in range(2, 5))
 
     def test_memory_is_bounded_on_a_large_cone_window(self):
-        # the 7-label antichain at bound 4: 273127 zero-sum candidates against
-        # 126 constraint rows, a 262 MiB product if formed at once
+        # the 7-label antichain at bound 4: 273127 zero-sum rows against 126
+        # masks, a 262 MiB product if formed at once
         from permutokit.cones import Box, cone_lattice_points
         from permutokit.preposet import Preposet
         from permutokit.setcomp import GroundSet
@@ -206,6 +256,27 @@ class TestLatticeFilter:
             tracemalloc.stop()
         assert pts.rows.tolist() == [[0] * 7]
         assert peak < 64 << 20
+
+    def test_a_cone_window_too_large_for_a_table_keeps_no_box(self):
+        # the 8-label chain at bound 4: its zero-sum box has 2306025 rows
+        # (141 MiB), more than a sign table holds
+        from permutokit.cones import Box, cone_lattice_points
+        from permutokit.preposet import Preposet
+        from permutokit.setcomp import GroundSet
+
+        g = GroundSet.of(range(1, 9))
+        p = Preposet.from_pairs(g, [(a, b) for a in g.labels for b in g.labels if a < b])
+        _kernels.zero_sum_box.cache_clear()
+        _kernels._cone_table.cache_clear()
+        tracemalloc.start()
+        try:
+            pts = cone_lattice_points(p, Box(4))
+            assert len(pts) == 387000
+            del pts
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 16 << 20
 
 
 def _edge_rows(rng, n, cm):
@@ -228,33 +299,12 @@ def subset_sums_agree(rng, n, cm):
     return got.dtype == _kernels.exact_type(n * cm) and got.tolist() == _exact_sums(rows, n)
 
 
-def lattice_filter_agrees(rng, n, cm):
-    """Bounds far above every sum except on a few masks: random bounds within
-    the reach on the full set and two other masks; the full set one below
-    the reach, which drops only the rows of +cm, and at minus the reach,
-    which keeps only the row of -cm; and one bound far below every sum,
-    which no row meets. Both far bounds must be clipped into the type."""
-    rows = _edge_rows(rng, n, cm)
-    reach, full = n * cm, (1 << n) - 1
-    far = np.full(1 << n, 1 << 61, dtype=np.int64)
-    cases = [far.copy() for _ in range(4)]
-    masks = [full, *rng.choice(np.arange(1, full), size=2, replace=False)]
-    cases[0][masks] = rng.integers(-reach // 2, reach // 2 + 1, size=3)
-    cases[1][full] = reach - 1
-    cases[2][full] = -reach
-    cases[3][masks[1]] = -(1 << 61)
-    return all(
-        (_kernels.lattice_filter(rows, bounds, reach) == _direct(rows, bounds)).all()
-        for bounds in cases
-    ) and not _direct(rows, cases[3]).any()
-
-
 def ranged_sum_box_agrees(lo, hi, total):
     want = [
         h for h in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)])
         if sum(h) == total
     ]
-    got = _kernels.ranged_sum_box(lo, hi, total)
+    got = ranged_sum_box(lo, hi, total)
     return got.dtype == np.int64 and [tuple(r) for r in got.tolist()] == want
 
 
@@ -267,6 +317,22 @@ def _ranged_cases(c):
             yield [x - 1 for x in centre], [x + 1 for x in centre], sum(centre) + d
 
 
+def _window_cases(c):
+    """Width-3 sides around +-c on four labels, with totals inside, on the
+    edge of and outside the sides' range, and on the pair {1, 2} no bound,
+    one inside the range of its sums, one far above every sum and one far
+    below, which no point meets."""
+    for signs in ((1, 1, 1, 1), (-1, -1, -1, -1), (1, -1, 1, -1)):
+        centre = [s * c for s in signs]
+        lo, hi = [x - 1 for x in centre], [x + 1 for x in centre]
+        for d in (-5, -4, 0, 3):
+            total = sum(centre) + d
+            bounds = box_bounds(lo, hi, total)
+            yield bounds, total
+            for v in (hi[0] + hi[1] - 1, FAR, -FAR):
+                yield [v if m == 0b0011 else b for m, b in enumerate(bounds)], total
+
+
 class TestExactType:
     def test_each_type_holds_the_clipped_range_of_its_reach(self):
         for reach, t in ((0, np.int8), (127, np.int8), (128, np.int16),
@@ -277,8 +343,12 @@ class TestExactType:
 
 
 class TestNarrowTypes:
-    """Reaches just below and just above each limit; n * cm <= T <
-    n * (cm + 1) for cm = T // n."""
+    """Reaches just below and just above each limit. The walk forms its
+    tables in exact_type(2 * reach + 1), with reach = n * cm for sides in
+    [-cm, cm]: 2 * n * (c + 1) + 1 <= T on sides around +-c for
+    c = (T - 1) // (2 * n) - 1, and the sums of the sides pass T for
+    c = T // n + 1. For c = (T + 1) // n - 2, reach itself is just below T,
+    and a bound far below every sum, less a coordinate, passes T."""
 
     @pytest.mark.parametrize("T", THRESHOLDS)
     def test_subset_sums_on_each_side(self, T):
@@ -288,21 +358,14 @@ class TestNarrowTypes:
                 assert subset_sums_agree(rng, n, cm)
 
     @pytest.mark.parametrize("T", THRESHOLDS)
-    def test_lattice_filter_on_each_side(self, T, monkeypatch):
-        rng = np.random.default_rng(T % 991)
-        for n in (2, 3, 5):
-            for cm in (T // n, T // n + 1):
-                assert lattice_filter_agrees(rng, n, cm)
-                # one candidate row a chunk
-                monkeypatch.setattr(_kernels, "FILTER_CELLS", 1)
-                assert lattice_filter_agrees(rng, n, cm)
-                monkeypatch.undo()
+    def test_lattice_window_on_each_side(self, T):
+        for c in ((T - 1) // 8 - 1, (T - 1) // 8, (T + 1) // 4 - 2, T // 4 + 1):
+            for bounds, total in _window_cases(c):
+                assert walk_agrees(bounds, total)
 
     @pytest.mark.parametrize("T", THRESHOLDS)
     def test_ranged_sum_box_on_each_side(self, T):
-        # reach |total| + 2 * (c + 1) is at most 5 * (c + 1) <= T below, and
-        # above T once 3 * c exceeds it
-        for c in (T // 5 - 1, T // 3 + 1):
+        for c in ((T - 1) // 6 - 1, (T - 1) // 6, T // 3 + 1):
             for lo, hi, total in _ranged_cases(c):
                 assert ranged_sum_box_agrees(lo, hi, total)
 
@@ -310,7 +373,6 @@ class TestNarrowTypes:
     def test_the_oracles_catch_a_type_one_size_too_narrow(self, T, monkeypatch):
         monkeypatch.setattr(_kernels, "exact_type", one_size_too_narrow(_kernels.exact_type))
         rng = np.random.default_rng(T % 983)
-        cm = T // 3 + 1
-        assert not holds(lambda: subset_sums_agree(rng, 3, cm))
-        assert not holds(lambda: lattice_filter_agrees(rng, 3, cm))
-        assert not all(holds(lambda: ranged_sum_box_agrees(*case)) for case in _ranged_cases(cm))
+        assert not holds(lambda: subset_sums_agree(rng, 3, T // 3 + 1))
+        assert not all(holds(lambda: walk_agrees(*case)) for case in _window_cases(T // 4 + 1))
+        assert not all(holds(lambda: ranged_sum_box_agrees(*case)) for case in _ranged_cases(T // 3 + 1))

@@ -321,7 +321,7 @@ SPLITS = [
     for m in range(1 << len(g))
 ]
 FAMILIES = (
-    "cone_product_map", "flat_mul", "point_mul", "sections_mul",
+    "cone_product_map", "point_mul", "sections_mul",
     "cone_restrict", "restrict_point", "point_comul",
 )
 MAP_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -334,17 +334,6 @@ def old_juxtapose(h1, h2, ground):
 def old_restrict(h, S):
     S = sorted_labels(S)
     return GroundSet.of(S), tuple(h.coord(x) for x in S)
-
-
-def old_flat_mul(points, heights):
-    coords, ground = {}, GroundSet.of(())
-    for pt, a in zip(points, heights):
-        if pt.total() != a:
-            raise ValueError("height")
-        ground = ground.union(pt.ground)
-        for x in pt.ground.labels:
-            coords[x] = pt.coord(x)
-    return AffinePoint(ground, tuple(coords[x] for x in ground.labels))
 
 
 def old_point_comul(x, S, T):
@@ -402,10 +391,6 @@ def map_mismatches(g, S, T, ints, shifts, fracs, lump_ids):
         for blk in (S, T):
             check("restrict_point", outcome(restrict_point, v, blk),
                   AffinePoint(*old_restrict(v, blk)))
-    parts = [AffinePoint(*old_restrict(pt, blk)) for blk in (S, T)]
-    for seq in (parts, parts[::-1]):
-        heights = [p.total() for p in seq]
-        check("flat_mul", outcome(flat_mul, seq, heights), old_flat_mul(seq, heights))
 
     shift = dict(zip(g.labels, shifts))
     s1, s2 = _sections(S, shift), _sections(T, shift)

@@ -268,9 +268,17 @@ class TestDifferential:
         )
 
     def test_basis_validation_catches_a_filter_that_keeps_everything(self, monkeypatch):
-        monkeypatch.setattr(
-            _kernels, "lattice_filter", lambda cands, bounds, reach: np.ones(len(cands), dtype=bool)
-        )
+        real = _kernels.lattice_window
+
+        def grid_only(bounds, total):
+            # a walk that ignores every bound but those of single labels and
+            # their complements, which give its grid: it lists the whole grid
+            full = len(bounds) - 1
+            sides = {0, full} | {1 << k for k in range(full.bit_length())}
+            sides |= {full ^ m for m in sides}
+            return real([b if m in sides else FAR for m, b in enumerate(bounds)], total)
+
+        monkeypatch.setattr(_kernels, "lattice_window", grid_only)
         with pytest.raises(ValueError, match="subset inequality"):
             global_sections(perm_bf(4))
 
@@ -316,27 +324,28 @@ def brute_translated_cone(masks, n, bound):
 
 class TestConeWindowKernel:
     """cone_window on both of its paths: the cached table of subset-sum signs,
-    and the row-chunked lattice_filter it falls back to for large boxes."""
+    and the walk it takes for boxes too large for a table."""
 
-    @pytest.fixture(params=["table", "filter"])
+    @pytest.fixture(params=["table", "walk"])
     def path(self, request, monkeypatch):
-        calls = []
-        real = _kernels.lattice_filter
+        walked = []
+        real = _kernels._cone_table
 
         def counted(*args):
-            calls.append(1)
-            return real(*args)
+            table = real(*args)
+            walked.append(table is None)
+            return table
 
-        monkeypatch.setattr(_kernels, "lattice_filter", counted)
-        if request.param == "filter":
+        monkeypatch.setattr(_kernels, "_cone_table", counted)
+        if request.param == "walk":
             # below every table's cell count, n = 0 (one cell) included
             monkeypatch.setattr(_kernels, "FILTER_CELLS", 0)
-        # the cached entries carry the table-or-filter decision made under
-        # the FILTER_CELLS of their first call
-        _kernels._cone_table.cache_clear()
+        # the cached entries carry the table-or-walk decision made under the
+        # FILTER_CELLS of their first call
+        real.cache_clear()
         yield request.param
-        _kernels._cone_table.cache_clear()
-        assert bool(calls) == (request.param == "filter")
+        real.cache_clear()
+        assert walked and set(walked) == {request.param == "walk"}
 
     def test_cone_windows_match_box_scan(self, path):
         for n in range(5):
@@ -354,10 +363,7 @@ class TestConeWindowKernel:
                 for bound in range(4):
                     assert_plate_is_translated_cone(H, z, bound)
 
-    def test_windows_on_each_side_of_the_type_limits(self, path, monkeypatch):
-        if path == "filter":
-            # below every table's cell count here, 64 box rows a chunk
-            monkeypatch.setattr(_kernels, "FILTER_CELLS", 4 * 64)
+    def test_windows_on_each_side_of_the_type_limits(self, path):
         for bound in NARROW_BOUNDS:
             for p in enumerate_preposets(GROUNDS[2]):
                 assert rows_of(cone_lattice_points(p, Box(bound))) == brute_cone(p, bound)
